@@ -783,8 +783,7 @@ let perf_workloads () =
       ~src:(Netsim.Addr.of_string "10.1.0.7")
       ~dst:(Netsim.Addr.of_string "239.1.0.1")
       ~src_port:Asp.Audio_app.audio_port ~dst_port:Asp.Audio_app.audio_port
-      (Planp_runtime.Audio_frame.encode
-         (Planp_runtime.Audio_frame.synth ~seq:0 ~frames:20 ~phase:0))
+      (Planp_runtime.Audio_frame.Wire.synth ~seq:0 ~frames:20 ~phase:0)
   in
   let http_packet =
     Netsim.Packet.tcp
@@ -1070,9 +1069,9 @@ let cache_workloads () =
       ~src:(Netsim.Addr.of_string "10.1.0.7")
       ~dst:(Netsim.Addr.of_string "239.1.0.1")
       ~src_port:Asp.Audio_app.audio_port ~dst_port:Asp.Audio_app.audio_port
-      (Planp_runtime.Audio_frame.encode
-         (Planp_runtime.Audio_frame.degrade
-            (Planp_runtime.Audio_frame.synth ~seq:0 ~frames:20 ~phase:0)
+      (Option.get
+         (Planp_runtime.Audio_frame.Wire.degrade
+            (Planp_runtime.Audio_frame.Wire.synth ~seq:0 ~frames:20 ~phase:0)
             Planp_runtime.Audio_frame.Mono8))
   in
   let http_packet =

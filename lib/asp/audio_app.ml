@@ -21,11 +21,9 @@ module Source = struct
     let engine = Node.engine t.node in
     let now = Engine.now engine in
     if now < t.until then begin
-      let frame =
-        Audio_frame.synth ~seq:t.seq ~frames:t.frames ~phase:(t.seq * t.frames)
-      in
       Node.send_udp t.node ~dst:t.grp ~src_port:audio_port ~dst_port:t.port
-        (Audio_frame.encode frame);
+        (Audio_frame.Wire.synth ~seq:t.seq ~frames:t.frames
+           ~phase:(t.seq * t.frames));
       t.seq <- t.seq + 1;
       Engine.schedule engine ~at:(now +. t.frame_interval) (tick t)
     end
@@ -66,16 +64,15 @@ module Client = struct
 
   let on_packet t _node (packet : Netsim.Packet.t) =
     let now = Engine.now (Node.engine t.node) in
-    match Audio_frame.decode packet.Netsim.Packet.body with
+    match Audio_frame.Wire.header packet.Netsim.Packet.body with
     | None -> ()
-    | Some frame ->
+    | Some { Audio_frame.Wire.seq; quality; _ } ->
         t.received <- t.received + 1;
         Netsim.Flowstat.record t.stat ~now (Netsim.Packet.wire_size packet);
-        (match frame.Audio_frame.quality with
+        (match quality with
         | Audio_frame.Stereo16 -> t.q_stereo16 <- t.q_stereo16 + 1
         | Audio_frame.Mono16 -> t.q_mono16 <- t.q_mono16 + 1
         | Audio_frame.Mono8 -> t.q_mono8 <- t.q_mono8 + 1);
-        let seq = frame.Audio_frame.seq in
         if not (Hashtbl.mem t.arrivals seq) then Hashtbl.add t.arrivals seq now;
         (* Estimate the stream epoch from the earliest (arrival − seq·T). *)
         let epoch = now -. (float_of_int seq *. t.frame_interval) in

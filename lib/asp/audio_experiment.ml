@@ -80,8 +80,8 @@ type result = {
 }
 
 (* Passive wire measurement on the client segment: count only frames of the
-   audio flow, decode their quality — how Fig. 6's "bandwidth used by the
-   audio traffic" was measured. *)
+   audio flow, read their quality from the frame header — how Fig. 6's
+   "bandwidth used by the audio traffic" was measured. *)
 type wire_monitor = {
   wire_stat : Netsim.Flowstat.t;
   mutable wq_stereo16 : int;
@@ -100,9 +100,9 @@ let attach_wire_monitor segment =
         when udp_dst = Audio_app.audio_port -> (
           Netsim.Flowstat.record mon.wire_stat ~now:at
             (Netsim.Packet.wire_size packet);
-          match Audio_frame.decode packet.Netsim.Packet.body with
-          | Some frame -> (
-              match frame.Audio_frame.quality with
+          match Audio_frame.Wire.header packet.Netsim.Packet.body with
+          | Some { Audio_frame.Wire.quality; _ } -> (
+              match quality with
               | Audio_frame.Stereo16 -> mon.wq_stereo16 <- mon.wq_stereo16 + 1
               | Audio_frame.Mono16 -> mon.wq_mono16 <- mon.wq_mono16 + 1
               | Audio_frame.Mono8 -> mon.wq_mono8 <- mon.wq_mono8 + 1)

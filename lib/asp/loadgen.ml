@@ -6,6 +6,7 @@ type t = {
   dst : Netsim.Addr.t;
   port : int;
   packet_size : int;
+  body : Netsim.Payload.t;  (* every packet's payload; never mutated *)
   schedule : (float * float) list;  (* (time, kB/s), sorted *)
   until : float;
   mutable packets : int;
@@ -34,7 +35,7 @@ let rec tick t () =
     end
     else begin
       Node.send_udp t.node ~dst:t.dst ~src_port:t.port ~dst_port:t.port
-        (Netsim.Payload.fill t.packet_size 0xAA);
+        t.body;
       t.packets <- t.packets + 1;
       t.bytes <- t.bytes + t.packet_size;
       let interval = float_of_int t.packet_size /. rate in
@@ -46,8 +47,17 @@ let rec tick t () =
 let start ?(packet_size = 1024) ?(port = 9) node ~dst ~schedule ~until () =
   let sorted = List.sort (fun (a, _) (b, _) -> Float.compare a b) schedule in
   let t =
-    { node; dst; port; packet_size; schedule = sorted; until; packets = 0;
-      bytes = 0 }
+    {
+      node;
+      dst;
+      port;
+      packet_size;
+      body = Netsim.Payload.fill packet_size 0xAA;
+      schedule = sorted;
+      until;
+      packets = 0;
+      bytes = 0;
+    }
   in
   let first = match sorted with (at, _) :: _ -> at | [] -> 0.0 in
   Engine.schedule (Node.engine node) ~at:first (tick t);

@@ -72,6 +72,10 @@ let get_u32 t off =
   lor (Char.code (String.unsafe_get base (o + 2)) lsl 8)
   lor Char.code (String.unsafe_get base (o + 3))
 
+let backing t =
+  force t;
+  (t.base, t.off)
+
 let sub t ~pos ~len =
   check t pos len "sub";
   if len = 0 then empty

@@ -27,6 +27,13 @@ val get_u8 : t -> int -> int
 val get_u16 : t -> int -> int
 val get_u32 : t -> int -> int
 
+(** [backing payload] is [(base, off)]: the string holding the payload's
+    bytes, which are [base.[off] .. base.[off + length payload - 1]].
+    Forces a pending concatenation first. The string is shared with the
+    payload and every view of it; read it, never mutate it. For kernels
+    that scan a whole payload with [String]'s own accessors. *)
+val backing : t -> string * int
+
 (** [sub payload ~pos ~len] extracts a slice — an O(1) view sharing the
     parent's bytes, not a copy. *)
 val sub : t -> pos:int -> len:int -> t

@@ -45,7 +45,10 @@ type hist_cell = {
   h_buckets : int array;
 }
 
-type counter_cell = { mutable c_value : int }
+(* Atomic: in a partitioned run, cells without a node label (the
+   backends' per-packet counters) are bumped from several domains at
+   once, and a plain increment would lose updates. *)
+type counter_cell = int Atomic.t
 
 type gauge_cell = {
   mutable g_value : float;
@@ -115,19 +118,19 @@ let counter ?(registry = default) ?(labels = []) ?(help = "") ?(volatile = false
     name =
   let metric =
     find_or_add registry ~name ~labels ~help ~volatile (fun () ->
-        Counter { c_value = 0 })
+        Counter (Atomic.make 0))
   in
   match metric.m_data with
   | Counter cell -> { cr = registry; cc = cell }
   | _ -> wrong_kind metric "counter"
 
-let incr counter = if counter.cr.on then counter.cc.c_value <- counter.cc.c_value + 1
+let incr counter = if counter.cr.on then Atomic.incr counter.cc
 
 let add counter n =
   if n < 0 then invalid_arg "Obs.Registry.add: counters only go up";
-  if counter.cr.on then counter.cc.c_value <- counter.cc.c_value + n
+  if counter.cr.on then ignore (Atomic.fetch_and_add counter.cc n)
 
-let count counter = counter.cc.c_value
+let count counter = Atomic.get counter.cc
 
 let gauge ?(registry = default) ?(labels = []) ?(help = "") ?(volatile = false)
     name =
@@ -248,7 +251,7 @@ let quantile histogram q = quantile_of_cell histogram.hc q
 let read_counter ?(registry = default) ?(labels = []) name =
   match lookup registry ~name ~labels with
   | None -> None
-  | Some { m_data = Counter cell; _ } -> Some cell.c_value
+  | Some { m_data = Counter cell; _ } -> Some (Atomic.get cell)
   | Some metric -> wrong_kind metric "counter"
 
 let read_gauge ?(registry = default) ?(labels = []) name =
@@ -287,7 +290,7 @@ let merge ~into src =
            find_or_add into ~name:metric.m_name ~labels:metric.m_labels
              ~help:metric.m_help ~volatile:metric.m_volatile (fun () ->
                match metric.m_data with
-               | Counter _ -> Counter { c_value = 0 }
+               | Counter _ -> Counter (Atomic.make 0)
                | Gauge _ -> Gauge { g_value = 0.0; g_fn = None }
                | Histogram _ ->
                    Histogram
@@ -299,7 +302,7 @@ let merge ~into src =
          in
          match (metric.m_data, dst.m_data) with
          | Counter src_cell, Counter dst_cell ->
-             dst_cell.c_value <- dst_cell.c_value + src_cell.c_value
+             ignore (Atomic.fetch_and_add dst_cell (Atomic.get src_cell))
          | Gauge src_cell, Gauge dst_cell ->
              dst_cell.g_fn <- None;
              dst_cell.g_value <-
@@ -334,7 +337,7 @@ type snapshot = entry list
 
 let sample_of metric =
   match metric.m_data with
-  | Counter cell -> Scounter cell.c_value
+  | Counter cell -> Scounter (Atomic.get cell)
   | Gauge cell ->
       Sgauge (match cell.g_fn with Some f -> f () | None -> cell.g_value)
   | Histogram cell ->

@@ -38,7 +38,9 @@ val reset : t -> unit
     their orphaned cells invisibly — re-create components (and thereby
     their handles) after a reset, as the determinism tests do. *)
 
-(** {1 Counters} — monotonically increasing integers. *)
+(** {1 Counters} — monotonically increasing integers. Updates are atomic,
+    so domains of a partitioned run may share a cell without losing
+    increments. *)
 
 type counter
 

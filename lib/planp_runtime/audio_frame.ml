@@ -123,15 +123,20 @@ let restore t =
 
 (* Integer sine-ish oscillator: a second-order resonator would drift in
    integer arithmetic, so use a triangle wave with a slow wobble — fully
-   deterministic and exercises the full 16-bit range. *)
+   deterministic and exercises the full 16-bit range. Sample [n] of the
+   stream is [triangle n ± wobble n], clamped. *)
+let triangle n =
+  let x = n mod 200 in
+  if x < 100 then (x * 600) - 30000 else ((200 - x) * 600) - 30000
+
+let wobble n = (n mod 37) * 100
+
 let synth ~seq ~frames ~phase =
   let samples = Array.make (2 * frames) 0 in
   for i = 0 to frames - 1 do
-    let x = (phase + i) mod 200 in
-    let tri = if x < 100 then (x * 600) - 30000 else ((200 - x) * 600) - 30000 in
-    let wobble = ((phase + i) mod 37) * 100 in
-    samples.(2 * i) <- clamp16 (tri + wobble);
-    samples.((2 * i) + 1) <- clamp16 (tri - wobble)
+    let n = phase + i in
+    samples.(2 * i) <- clamp16 (triangle n + wobble n);
+    samples.((2 * i) + 1) <- clamp16 (triangle n - wobble n)
   done;
   { seq; quality = Stereo16; samples }
 
@@ -158,3 +163,88 @@ let quality_name = function
 let pp fmt t =
   Format.fprintf fmt "<audio seq=%d %s frames=%d>" t.seq (quality_name t.quality)
     (frame_count t)
+
+module Wire = struct
+  type header = { seq : int; quality : quality; frames : int }
+
+  (* Exactly [decode]'s acceptance test, read from the 7 header bytes:
+     a known quality code and a body of [frames] whole frames. *)
+  let header payload =
+    let len = Payload.length payload in
+    if len < 7 then None
+    else
+      match quality_of_code (Payload.get_u8 payload 4) with
+      | None -> None
+      | Some quality ->
+          let frames = Payload.get_u16 payload 5 in
+          if len - 7 <> bytes_per_frame quality * frames then None
+          else Some { seq = Payload.get_u32 payload 0; quality; frames }
+
+  (* A fresh frame of [quality] and [frames], its seq copied from the
+     frame at [off] in [base]; the caller fills in the samples. *)
+  let blank base off quality frames =
+    let out = Bytes.create (7 + (bytes_per_frame quality * frames)) in
+    Bytes.blit_string base off out 0 4;
+    Bytes.set_uint8 out 4 (quality_code quality);
+    Bytes.set_uint16_be out 5 frames;
+    out
+
+  (* [to_mono16]'s sample for frame [i] of a [quality] body at [src]. *)
+  let[@inline] mono16_at quality base src i =
+    match quality with
+    | Stereo16 ->
+        (String.get_int16_be base (src + (4 * i))
+        + String.get_int16_be base (src + (4 * i) + 2))
+        / 2
+    | Mono16 -> String.get_int16_be base (src + (2 * i))
+    | Mono8 -> String.get_int8 base (src + i) lsl 8
+
+  let finish out = Payload.of_string (Bytes.unsafe_to_string out)
+
+  let degrade payload target =
+    match header payload with
+    | None -> None
+    | Some { quality; frames; _ } ->
+        (* Only a strictly lower target changes the bytes. *)
+        if quality_code target <= quality_code quality then Some payload
+        else begin
+          let base, off = Payload.backing payload in
+          let src = off + 7 in
+          let out = blank base off target frames in
+          for i = 0 to frames - 1 do
+            let sample = mono16_at quality base src i in
+            match target with
+            | Mono8 -> Bytes.set_int8 out (7 + i) (sample asr 8)
+            | Stereo16 | Mono16 -> Bytes.set_int16_be out (7 + (2 * i)) sample
+          done;
+          Some (finish out)
+        end
+
+  let restore payload =
+    match header payload with
+    | None -> None
+    | Some { quality = Stereo16; _ } -> Some payload
+    | Some { quality; frames; _ } ->
+        let base, off = Payload.backing payload in
+        let src = off + 7 in
+        let out = blank base off Stereo16 frames in
+        for i = 0 to frames - 1 do
+          let sample = mono16_at quality base src i in
+          Bytes.set_int16_be out (7 + (4 * i)) sample;
+          Bytes.set_int16_be out (9 + (4 * i)) sample
+        done;
+        Some (finish out)
+
+  let synth ~seq ~frames ~phase =
+    let out = Bytes.create (7 + (4 * frames)) in
+    Bytes.set_uint16_be out 0 ((seq lsr 16) land 0xffff);
+    Bytes.set_uint16_be out 2 (seq land 0xffff);
+    Bytes.set_uint8 out 4 (quality_code Stereo16);
+    Bytes.set_uint16_be out 5 (frames land 0xffff);
+    for i = 0 to frames - 1 do
+      let n = phase + i in
+      Bytes.set_int16_be out (7 + (4 * i)) (clamp16 (triangle n + wobble n));
+      Bytes.set_int16_be out (9 + (4 * i)) (clamp16 (triangle n - wobble n))
+    done;
+    finish out
+end

@@ -9,7 +9,13 @@
     - {!Mono8}: signed 8-bit mono (44.1 kB/s).
 
     Wire layout: [u32 seq ; u8 quality ; u16 sample-frames ; samples], with
-    16-bit samples big-endian two's complement. *)
+    16-bit samples big-endian two's complement.
+
+    Two views of one format. {!Wire} works on the wire bytes directly and
+    is what the primitives, the applications and the experiments use: a
+    header peek, single-pass byte-to-byte kernels, no sample arrays. The
+    record {!t} with {!decode}, {!encode}, {!degrade} and {!restore} is the
+    reference model those kernels are tested against, byte for byte. *)
 
 type quality = Stereo16 | Mono16 | Mono8
 
@@ -58,3 +64,27 @@ val rms_error : t -> t -> float
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+
+(** Frames as wire bytes. Every function accepts exactly the payloads
+    {!decode} accepts and returns [None] on the rest; every result is
+    byte-equal to the reference round trip through {!t}. *)
+module Wire : sig
+  type header = { seq : int; quality : quality; frames : int }
+
+  (** [header payload] reads the first 7 bytes and checks that the body
+      holds exactly [frames] frames of [quality]. *)
+  val header : Netsim.Payload.t -> header option
+
+  (** [degrade payload quality] is [encode (degrade (decode payload)
+      quality)] in one pass over the samples. A target that is not lower
+      than the frame's quality returns [payload] itself. *)
+  val degrade : Netsim.Payload.t -> quality -> Netsim.Payload.t option
+
+  (** [restore payload] is [encode (restore (decode payload))] in one
+      pass; a [Stereo16] frame returns [payload] itself. *)
+  val restore : Netsim.Payload.t -> Netsim.Payload.t option
+
+  (** [synth ~seq ~frames ~phase] is [encode (synth ~seq ~frames ~phase)],
+      written straight into the frame's bytes. *)
+  val synth : seq:int -> frames:int -> phase:int -> Netsim.Payload.t
+end

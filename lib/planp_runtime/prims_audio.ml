@@ -1,10 +1,16 @@
 module Ptype = Planp.Ptype
 module Sig = Planp.Prim_sig
 
-let frame_of_blob value =
-  match Audio_frame.decode (Value.as_blob value) with
-  | Some frame -> frame
-  | None -> raise (Value.Planp_raise "BadAudio")
+module Wire = Audio_frame.Wire
+
+let bad_audio () = raise (Value.Planp_raise "BadAudio")
+
+let header_of_blob value =
+  match Wire.header (Value.as_blob value) with
+  | Some header -> header
+  | None -> bad_audio ()
+
+let blob_of = function Some payload -> Value.Vblob payload | None -> bad_audio ()
 
 let pure prim_name expected result impl =
   {
@@ -26,24 +32,19 @@ let install () =
   List.iter Prim.register
     [
       pure "audioSeq" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint (frame_of_blob (arg1 args)).Audio_frame.seq);
+          Value.Vint (header_of_blob (arg1 args)).Wire.seq);
       pure "audioQuality" [ Ptype.Tblob ] Ptype.Tint (fun args ->
           Value.Vint
-            (Audio_frame.quality_code
-               (frame_of_blob (arg1 args)).Audio_frame.quality));
+            (Audio_frame.quality_code (header_of_blob (arg1 args)).Wire.quality));
       pure "audioFrames" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint (Audio_frame.frame_count (frame_of_blob (arg1 args))));
+          Value.Vint (header_of_blob (arg1 args)).Wire.frames);
       pure "audioBytes" [ Ptype.Tblob ] Ptype.Tint (fun args ->
           Value.Vint (Netsim.Payload.length (Value.as_blob (arg1 args))));
       pure "audioDegrade" [ Ptype.Tblob; Ptype.Tint ] Ptype.Tblob (fun args ->
           let blob, level = arg2 args in
           match Audio_frame.quality_of_code (Value.as_int level) with
-          | None -> raise (Value.Planp_raise "BadAudio")
-          | Some quality ->
-              Value.Vblob
-                (Audio_frame.encode
-                   (Audio_frame.degrade (frame_of_blob blob) quality)));
+          | None -> bad_audio ()
+          | Some quality -> blob_of (Wire.degrade (Value.as_blob blob) quality));
       pure "audioRestore" [ Ptype.Tblob ] Ptype.Tblob (fun args ->
-          Value.Vblob
-            (Audio_frame.encode (Audio_frame.restore (frame_of_blob (arg1 args)))));
+          blob_of (Wire.restore (Value.as_blob (arg1 args))));
     ]

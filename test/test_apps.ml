@@ -61,11 +61,24 @@ let loadgen_rate () =
     Loadgen.start ~packet_size:1000 a ~dst:(Node.addr b)
       ~schedule:[ (0.0, 100.0) ] ~until:10.0 ()
   in
+  let received = ref 0 and received_bytes = ref 0 and bad_bodies = ref 0 in
+  let expected_body = Payload.fill 1000 0xAA in
+  Node.on_udp b ~port:9 (fun _ packet ->
+      let body = packet.Netsim.Packet.body in
+      incr received;
+      received_bytes := !received_bytes + Payload.length body;
+      if not (Payload.equal body expected_body) then incr bad_bodies);
   Topology.run topo;
   (* 100 kB/s for 10 s at 1000 B per packet = ~1000 packets *)
   checkb "about 1000 packets" true
     (abs (Loadgen.packets_sent gen - 1000) <= 2);
-  check "bytes" (Loadgen.packets_sent gen * 1000) (Loadgen.bytes_sent gen)
+  check "bytes" (Loadgen.packets_sent gen * 1000) (Loadgen.bytes_sent gen);
+  (* Pinned exactly: summing the 0.01 s interval in floats puts the
+     1001st send just under [until]. *)
+  check "packets" 1001 (Loadgen.packets_sent gen);
+  check "every packet arrives" (Loadgen.packets_sent gen) !received;
+  check "every byte arrives" (Loadgen.bytes_sent gen) !received_bytes;
+  check "every body is the fill pattern" 0 !bad_bodies
 
 let loadgen_schedule_steps () =
   let topo = Topology.create () in

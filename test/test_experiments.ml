@@ -85,12 +85,17 @@ let audio_per_segment_adaptation () =
         match packet.Netsim.Packet.l4 with
         | Netsim.Packet.Udp { Netsim.Packet.udp_dst; _ }
           when udp_dst = Asp.Audio_app.audio_port -> (
-            match Planp_runtime.Audio_frame.decode packet.Netsim.Packet.body with
-            | Some frame ->
-                if frame.Planp_runtime.Audio_frame.quality
-                   = Planp_runtime.Audio_frame.Stereo16
-                then incr s16
-                else incr degraded
+            match
+              Planp_runtime.Audio_frame.Wire.header packet.Netsim.Packet.body
+            with
+            | Some
+                {
+                  Planp_runtime.Audio_frame.Wire.quality =
+                    Planp_runtime.Audio_frame.Stereo16;
+                  _;
+                } ->
+                incr s16
+            | Some _ -> incr degraded
             | None -> ())
         | _ -> ());
     (s16, degraded)

@@ -176,9 +176,9 @@ let replay_deliver () =
       ~src:(Netsim.Addr.of_string "10.1.0.7")
       ~dst:(Node.addr node)
       ~src_port:Asp.Audio_app.audio_port ~dst_port:Asp.Audio_app.audio_port
-      (Planp_runtime.Audio_frame.encode
-         (Planp_runtime.Audio_frame.degrade
-            (Planp_runtime.Audio_frame.synth ~seq:0 ~frames:20 ~phase:0)
+      (Option.get
+         (Planp_runtime.Audio_frame.Wire.degrade
+            (Planp_runtime.Audio_frame.Wire.synth ~seq:0 ~frames:20 ~phase:0)
             Planp_runtime.Audio_frame.Mono8))
   in
   for _ = 1 to 4 do

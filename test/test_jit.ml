@@ -138,8 +138,7 @@ let bundled_asp_differential () =
       ~src:(Netsim.Addr.of_string "192.168.0.9")
       ~dst:(Netsim.Addr.of_string "10.3.0.100")
       ~src_port:5004 ~dst_port:5004
-      (Planp_runtime.Audio_frame.encode
-         (Planp_runtime.Audio_frame.synth ~seq:0 ~frames:20 ~phase:0))
+      (Planp_runtime.Audio_frame.Wire.synth ~seq:0 ~frames:20 ~phase:0)
   in
   let compared = ref 0 in
   List.iter
@@ -358,10 +357,9 @@ let fold_preserves_semantics () =
     Planp.Typecheck.check_exn ~prims:Prim.type_lookup (Planp.Parser.parse source)
   in
   let globals = globals_of checked in
-  let frame = Planp_runtime.Audio_frame.synth ~seq:4 ~frames:30 ~phase:1 in
   let packet =
     Packet.udp ~src:1 ~dst:2 ~src_port:5004 ~dst_port:5004
-      (Planp_runtime.Audio_frame.encode frame)
+      (Planp_runtime.Audio_frame.Wire.synth ~seq:4 ~frames:30 ~phase:1)
   in
   let run backend =
     let compiled = backend.Backend.compile checked ~globals in

@@ -19,6 +19,22 @@ let contains haystack needle =
 
 (* --- counters ----------------------------------------------------- *)
 
+(* A partitioned run bumps unlabelled cells (the backends' per-packet
+   counters) from several domains at once; no increment may be lost. *)
+let counter_concurrent_domains () =
+  let registry = Obs.Registry.create () in
+  let c = Obs.Registry.counter ~registry "shared" in
+  let per_domain = 5_000_000 in
+  let bump () =
+    for i = 1 to per_domain do
+      if i land 1 = 0 then Obs.Registry.incr c else Obs.Registry.add c 1
+    done
+  in
+  let others = List.init 3 (fun _ -> Domain.spawn bump) in
+  bump ();
+  List.iter Domain.join others;
+  check "every increment counted" (4 * per_domain) (Obs.Registry.count c)
+
 let counter_get_or_create () =
   let registry = Obs.Registry.create () in
   let c1 = Obs.Registry.counter ~registry "requests" in
@@ -360,6 +376,8 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "counter get-or-create" `Quick counter_get_or_create;
+          Alcotest.test_case "counter across domains" `Quick
+            counter_concurrent_domains;
           Alcotest.test_case "labels distinguish" `Quick counter_labels_distinguish;
           Alcotest.test_case "label order canonical" `Quick
             counter_label_order_canonical;

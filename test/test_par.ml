@@ -78,9 +78,11 @@ let islands_topo ~islands ~hosts () =
    one flow ping-pongs across every bridge.  Installed AFTER the shard
    (the driver requires an empty schedule at shard time). *)
 let install_workload routers members =
-  let received = ref 0 in
+  (* Handlers run on several domains at once: a plain ref would lose
+     increments. *)
+  let received = Atomic.make 0 in
   let bounce peer_port node packet =
-    incr received;
+    Atomic.incr received;
     Node.send_udp node ~dst:packet.Packet.src ~src_port:peer_port
       ~dst_port:
         (match packet.Packet.l4 with
@@ -272,7 +274,7 @@ let parity_leg ~islands ~hosts ?scenario ~domains ~stop () =
       ignore (Faults.arm ?engine topo sc : Faults.handle));
   let received = install_workload routers members in
   Par.run_until par ~stop;
-  (metrics (), !received)
+  (metrics (), Atomic.get received)
 
 let assert_parity ~islands ~hosts ?scenario ~stop () =
   let base, base_received =
@@ -483,7 +485,7 @@ let http_shape_parity () =
       [ gw1; gw2 ];
     Topology.compute_routes topo;
     let par = or_fail (Par.of_topology topo ~domains) in
-    let responses = ref 0 in
+    let responses = Atomic.make 0 in
     Node.on_udp server ~port:80 (fun node packet ->
         for _ = 1 to 3 do
           Node.send_udp node ~dst:packet.Packet.src ~src_port:80
@@ -491,12 +493,12 @@ let http_shape_parity () =
         done);
     List.iter
       (fun client ->
-        Node.on_udp client ~port:8080 (fun _ _ -> incr responses);
+        Node.on_udp client ~port:8080 (fun _ _ -> Atomic.incr responses);
         Node.send_udp client ~dst:(Node.addr server) ~src_port:8080
           ~dst_port:80 payload)
       !clients;
     Par.run_until par ~stop:0.4;
-    (metrics (), !responses)
+    (metrics (), Atomic.get responses)
   in
   let m1, r1 = leg 1 in
   check "three responses per request" 12 r1;

@@ -129,6 +129,158 @@ let audio_degrade_size =
       size Audio_frame.Stereo16 > size Audio_frame.Mono16
       && size Audio_frame.Mono16 > size Audio_frame.Mono8)
 
+(* ---------- audio: wire-byte kernels against the reference ---------- *)
+
+module Wire = Audio_frame.Wire
+
+(* Frame-shaped byte strings: a 7-byte header with quality code 0..3 (3 is
+   invalid) over a body of whole frames, one byte short or one byte long;
+   or a bare 0..7 bytes. Samples lean on the 16-bit extremes and small
+   negatives, and random pairs give odd channel sums: the reference
+   averages with [/ 2], which truncates toward zero, and narrows with
+   [asr 8]. *)
+let audio_bytes_gen =
+  let open Q.Gen in
+  let sample =
+    frequency
+      [
+        (1, oneofl [ -32768; 32767; -1; 1; -255; -256; -257; 255; 256 ]);
+        (3, int_range (-32768) 32767);
+      ]
+  in
+  let framed =
+    let* seq = map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff) in
+    let* code = int_range 0 3 in
+    let* frames = int_range 0 40 in
+    let* skew = frequency [ (4, return 0); (1, return (-1)); (1, return 1) ] in
+    let body_len = Int.max 0 ((frames * [| 4; 2; 1; 2 |].(code)) + skew) in
+    let+ samples = list_repeat ((body_len / 2) + 1) sample in
+    let out = Bytes.create (7 + (2 * List.length samples)) in
+    Bytes.set_int32_be out 0 (Int32.of_int seq);
+    Bytes.set_uint8 out 4 code;
+    Bytes.set_uint16_be out 5 frames;
+    List.iteri (fun i v -> Bytes.set_int16_be out (7 + (2 * i)) v) samples;
+    Bytes.sub_string out 0 (7 + body_len)
+  in
+  frequency [ (5, framed); (1, string_size ~gen:char (int_range 0 7)) ]
+
+(* The same bytes as a plain payload, as a view into a larger string (a
+   nonzero offset) and as an unforced two-part rope. *)
+let audio_payload_gen =
+  Q.Gen.pair audio_bytes_gen (Q.Gen.int_range 0 2)
+
+let audio_payload (bytes, shape) =
+  let len = String.length bytes in
+  match shape with
+  | 0 -> Payload.of_string bytes
+  | 1 -> Payload.sub (Payload.of_string ("<<<" ^ bytes ^ ">>")) ~pos:3 ~len
+  | _ ->
+      Payload.concat
+        [
+          Payload.of_string (String.sub bytes 0 (len / 2));
+          Payload.of_string (String.sub bytes (len / 2) (len - (len / 2)));
+        ]
+
+let audio_payload_arb =
+  Q.make
+    ~print:(fun (bytes, shape) ->
+      Printf.sprintf "shape %d, %d bytes: %s" shape (String.length bytes)
+        (String.concat " "
+           (List.map
+              (fun c -> Printf.sprintf "%02x" (Char.code c))
+              (List.of_seq (String.to_seq bytes)))))
+    audio_payload_gen
+
+let audio_qualities = [ Audio_frame.Stereo16; Audio_frame.Mono16; Audio_frame.Mono8 ]
+
+let audio_wire_matches_reference =
+  Q.Test.make ~name:"audio: wire kernels match the reference byte for byte"
+    ~count:2000 audio_payload_arb (fun input ->
+      let p = audio_payload input in
+      let reference = Audio_frame.decode p in
+      (* Byte-equal to the reference round trip, and [p] itself when the
+         reference leaves the frame unchanged. *)
+      let matches wire expected ~unchanged =
+        match (wire, reference) with
+        | Some w, Some frame ->
+            Payload.equal w (Audio_frame.encode (expected frame))
+            && ((not (unchanged frame)) || w == p)
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+      in
+      let header_ok =
+        match (Wire.header p, reference) with
+        | Some h, Some frame ->
+            h.Wire.seq = frame.Audio_frame.seq
+            && h.Wire.quality = frame.Audio_frame.quality
+            && h.Wire.frames = Audio_frame.frame_count frame
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+      in
+      header_ok
+      && List.for_all
+           (fun q ->
+             matches (Wire.degrade p q)
+               (fun frame -> Audio_frame.degrade frame q)
+               ~unchanged:(fun frame ->
+                 Audio_frame.quality_code q
+                 <= Audio_frame.quality_code frame.Audio_frame.quality))
+           audio_qualities
+      && matches (Wire.restore p) Audio_frame.restore ~unchanged:(fun frame ->
+             frame.Audio_frame.quality = Audio_frame.Stereo16))
+
+let audio_wire_synth =
+  Q.Test.make ~name:"audio: wire synth matches the reference encoding"
+    ~count:300
+    Q.(
+      triple int
+        (make Gen.(frequency [ (9, int_range 0 300); (1, int_range 65530 65540) ]))
+        (int_range (-100_000) 100_000))
+    (fun (seq, frames, phase) ->
+      Payload.equal
+        (Wire.synth ~seq ~frames ~phase)
+        (Audio_frame.encode (Audio_frame.synth ~seq ~frames ~phase)))
+
+(* The six primitives, against results computed from the reference: the
+   same value, or BadAudio exactly where the reference rejects. *)
+let audio_prims_match_reference =
+  Q.Test.make ~name:"audio: primitives raise BadAudio exactly where the reference rejects"
+    ~count:1000 audio_payload_arb (fun input ->
+      let p = audio_payload input in
+      let reference = Audio_frame.decode p in
+      let world, _, _ = World.dummy () in
+      let call name args =
+        match (Planp_runtime.Prim.find_exn name).Planp_runtime.Prim.impl world args with
+        | v -> Some v
+        | exception Value.Planp_raise "BadAudio" -> None
+      in
+      let agrees name args expected =
+        match (call name args, expected) with
+        | Some v, Some e -> Value.equal v e
+        | None, None -> true
+        | Some _, None | None, Some _ -> false
+      in
+      let from_frame f = Option.map f reference in
+      let blob = Value.Vblob p in
+      agrees "audioSeq" [| blob |]
+        (from_frame (fun f -> Value.Vint f.Audio_frame.seq))
+      && agrees "audioQuality" [| blob |]
+           (from_frame (fun f ->
+                Value.Vint (Audio_frame.quality_code f.Audio_frame.quality)))
+      && agrees "audioFrames" [| blob |]
+           (from_frame (fun f -> Value.Vint (Audio_frame.frame_count f)))
+      && agrees "audioBytes" [| blob |] (Some (Value.Vint (Payload.length p)))
+      && agrees "audioRestore" [| blob |]
+           (from_frame (fun f ->
+                Value.Vblob (Audio_frame.encode (Audio_frame.restore f))))
+      && List.for_all
+           (fun level ->
+             agrees "audioDegrade" [| blob; Value.Vint level |]
+               (Option.bind (Audio_frame.quality_of_code level) (fun q ->
+                    from_frame (fun f ->
+                        Value.Vblob (Audio_frame.encode (Audio_frame.degrade f q))))))
+           [ -1; 0; 1; 2; 3 ])
+
 let zipf_in_range =
   Q.Test.make ~name:"rng: zipf stays in 1..n" ~count:200
     Q.(pair (int_range 1 50) small_int)
@@ -414,6 +566,9 @@ let () =
         payload_u32_roundtrip;
         audio_frame_roundtrip;
         audio_degrade_size;
+        audio_wire_matches_reference;
+        audio_wire_synth;
+        audio_prims_match_reference;
         zipf_in_range;
         file_sizes_bounded;
         backends_differential;
