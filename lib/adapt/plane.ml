@@ -89,9 +89,18 @@ type t = {
   mutable n_node_quarantines : int;
 }
 
+(* The engine decisions are timed and guard windows scheduled on: the
+   controller node's, read at call time. Stage ACKs run on the partition
+   that owns the controller, which in a partitioned run need not be the
+   engine the plane was armed with. *)
+let clock t =
+  match t.env with
+  | Some env -> Netsim.Node.engine (Controller.node env.de_controller)
+  | None -> t.engine
+
 let record t ~rule ~what ~note =
   t.events <-
-    { ev_at = Engine.now t.engine; ev_rule = rule; ev_what = what;
+    { ev_at = Engine.now (clock t); ev_rule = rule; ev_what = what;
       ev_note = note }
     :: t.events
 
@@ -208,7 +217,7 @@ let schedule_guard t ~rule ~program ~variant ~previous ~baseline ~targets =
   match t.policy.Policy.guard with
   | None -> release t program
   | Some guard ->
-      Engine.schedule_after t.engine ~delay:guard.Policy.g_window (fun () ->
+      Engine.schedule_after (clock t) ~delay:guard.Policy.g_window (fun () ->
           t.n_guard_checks <- t.n_guard_checks + 1;
           Obs.Registry.incr t.m_guard_checks;
           let post = Signal.value (t.resolve guard.Policy.g_signal) in

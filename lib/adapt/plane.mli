@@ -84,7 +84,10 @@ val arm :
   Policy.t ->
   t
 (** [arm ~engine ~until ~signals policy] wires and starts the loop;
-    monitor ticks run every [policy.period] until [until].
+    monitor ticks run every [policy.period] until [until]. With an [env],
+    decisions are timed and guard windows scheduled on the engine of the
+    controller's node, read when they happen: under [par] that is the
+    partition that runs the controller's stage ACKs.
 
     @param env required when any rule swaps or undeploys
     @param par re-home the monitor onto this partitioned driver's window

@@ -62,6 +62,7 @@ module Server = struct
     per_byte : float;
     stream_rate : float;
     mss : int;
+    body : Payload.t;  (* every segment is a view of these mss bytes *)
     mutable busy : int;
     queue : request Queue.t;
     mutable served : int;
@@ -87,7 +88,7 @@ module Server = struct
     let engine = Node.engine t.node in
     let chunk = Int.min t.mss remaining in
     Node.send_tcp t.node ~dst:request.req_client ~src_port:t.port
-      ~dst_port:request.req_port ~seq (Payload.fill chunk 0x55);
+      ~dst_port:request.req_port ~seq (Payload.sub t.body ~pos:0 ~len:chunk);
     let remaining = remaining - chunk in
     if remaining > 0 then begin
       let interval = float_of_int ((chunk + 40) * 8) /. t.stream_rate in
@@ -128,6 +129,7 @@ module Server = struct
         per_byte;
         stream_rate;
         mss;
+        body = Payload.fill mss 0x55;
         busy = 0;
         queue = Queue.create ();
         served = 0;

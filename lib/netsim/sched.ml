@@ -8,9 +8,9 @@
    array, links and seqs in int arrays, and the payload array only ever
    stores pointers the caller already holds.
 
-   Ordering is exactly the (time, seq) order of the original binary heap:
-   seq is a global counter stamped per insertion (or reserved up front with
-   [fresh_seq] and passed to [add_stamped]), ties break FIFO.
+   Ordering is exactly (time, seq) order: seq is a global counter stamped
+   per insertion (or reserved up front with [fresh_seq] and passed to
+   [add_stamped]), ties break FIFO.
 
    The wheel covers [wheel_t0, wheel_t0 + nbuckets * width).  An insert
    below that horizon lands in bucket floor((t - wheel_t0) / width),
@@ -29,9 +29,9 @@
      - the heap only holds events at or past the horizon, and the horizon
        only moves at a rotation (when the wheel is empty), so the wheel
        always holds a prefix of the schedule;
-     - like [Heap], only the live prefix of any pool array is meaningful:
-       slots on the free list keep stale times/seqs and [clear] never has
-       to touch capacity beyond what was used. *)
+     - only the live prefix of any pool array is meaningful: slots on the
+       free list keep stale times/seqs and [clear] never has to touch
+       capacity beyond what was used. *)
 
 type fcell = { mutable v : float }
 
@@ -349,8 +349,7 @@ let pop t ~into =
 
 let clear t =
   (* Release payload pointers in the live prefix only: free slots already
-     hold [dummy] (see the module-top invariant — the mirror of the
-     Heap.clear fix). *)
+     hold [dummy] (see the module-top invariant). *)
   if t.wheel_len > 0 then
     for b = t.cur to Array.length t.bucket - 1 do
       let s = ref t.bucket.(b) in

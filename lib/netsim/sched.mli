@@ -1,8 +1,7 @@
 (** Closure-free event scheduler: calendar-queue front end, overflow heap.
 
-    A drop-in ordering-compatible replacement for {!Heap}: events pop in
-    strictly increasing [(time, seq)] order, where [seq] is a global
-    insertion counter (FIFO at equal times).  Unlike [Heap], the structure
+    Events pop in strictly increasing [(time, seq)] order, where [seq] is
+    a global insertion counter (FIFO at equal times).  The structure
     stores events in pooled parallel arrays (unboxed float times, int
     seqs/links, a payload pointer array) recycled through a free list —
     steady-state [add]/[pop] allocates no minor words, and the dominant
@@ -13,7 +12,7 @@
 
     Only the live prefix of the pool is ever meaningful: free slots keep
     stale times and a [dummy] payload, so neither [pop] nor [clear] touches
-    capacity beyond what was used (the invariant {!Heap.clear} relies on). *)
+    capacity beyond what was used. *)
 
 type fcell = { mutable v : float }
 (** A single unboxed float cell.  All-float records are flat in OCaml, so

@@ -161,9 +161,22 @@ let rec compile ctx (expr : Ast.expr) : compiled =
                   scratch.(i) <- (Array.unsafe_get codes i) rt
                 done;
                 impl rt.world scratch))
-  | Ast.Tuple components ->
-      let codes = Array.of_list (List.map (compile ctx) components) in
-      fun rt -> Value.Vtuple (Array.map (fun c -> c rt) codes)
+  | Ast.Tuple components -> (
+      (* Pairs and triples are array literals; the lets keep components
+         evaluating left to right. *)
+      match Array.of_list (List.map (compile ctx) components) with
+      | [| a; b |] ->
+          fun rt ->
+            let va = a rt in
+            let vb = b rt in
+            Value.Vtuple [| va; vb |]
+      | [| a; b; c |] ->
+          fun rt ->
+            let va = a rt in
+            let vb = b rt in
+            let vc = c rt in
+            Value.Vtuple [| va; vb; vc |]
+      | codes -> fun rt -> Value.Vtuple (Array.map (fun c -> c rt) codes))
   | Ast.Proj (index, operand) ->
       let code = compile ctx operand in
       let i = index - 1 in

@@ -33,52 +33,6 @@ let layout_ok pkt_type =
   | Some (_, payload) -> payload_layout_ok payload
   | None -> false
 
-(* Decode the packet body against the payload component types. Returns the
-   component values, or None if the body does not match exactly. *)
-let decode_payload components body =
-  let len = Payload.length body in
-  let rec go components pos acc =
-    match components with
-    | [] -> if pos = len then Some (List.rev acc) else None
-    | Ptype.Tblob :: [] ->
-        Some (List.rev (Value.Vblob (Payload.sub body ~pos ~len:(len - pos)) :: acc))
-    | Ptype.Tblob :: _ -> None
-    | Ptype.Tchar :: rest ->
-        if pos + 1 > len then None
-        else
-          go rest (pos + 1)
-            (Value.Vchar (Char.chr (Payload.get_u8 body pos)) :: acc)
-    | Ptype.Tbool :: rest ->
-        if pos + 1 > len then None
-        else
-          let byte = Payload.get_u8 body pos in
-          if byte > 1 then None
-          else go rest (pos + 1) (Value.Vbool (byte = 1) :: acc)
-    | Ptype.Tint :: rest ->
-        if pos + 4 > len then None
-        else
-          (* sign-extend from 32 bits *)
-          let raw = Payload.get_u32 body pos in
-          let n = if raw land 0x80000000 <> 0 then raw - (1 lsl 32) else raw in
-          go rest (pos + 4) (Value.Vint n :: acc)
-    | Ptype.Thost :: rest ->
-        if pos + 4 > len then None
-        else go rest (pos + 4) (Value.Vhost (Payload.get_u32 body pos) :: acc)
-    | Ptype.Tstring :: rest ->
-        if pos + 2 > len then None
-        else
-          let slen = Payload.get_u16 body pos in
-          if pos + 2 + slen > len then None
-          else
-            let s = Payload.to_string (Payload.sub body ~pos:(pos + 2) ~len:slen) in
-            go rest (pos + 2 + slen) (Value.Vstring s :: acc)
-    | ( Ptype.Tunit | Ptype.Tip | Ptype.Ttcp | Ptype.Tudp | Ptype.Ttuple _
-      | Ptype.Thash _ | Ptype.Thash_any )
-      :: _ ->
-        None
-  in
-  go components 0 []
-
 let ip_view_of (packet : Packet.t) =
   {
     Value.vsrc = packet.Packet.src;
@@ -86,28 +40,100 @@ let ip_view_of (packet : Packet.t) =
     vttl = packet.Packet.ttl;
   }
 
-let decode pkt_type (packet : Packet.t) =
+(* Decode the packet body against the payload components, storing their
+   values into [values] from index [first] on. False when the body does not
+   match the layout exactly. *)
+let fill_payload layout body values first =
+  let len = Payload.length body in
+  let last = Array.length layout - 1 in
+  let rec go i pos =
+    if i > last then pos = len
+    else
+      let slot = first + i in
+      match layout.(i) with
+      | Ptype.Tblob ->
+          if i < last then false
+          else begin
+            values.(slot) <-
+              Value.Vblob (Payload.sub body ~pos ~len:(len - pos));
+            true
+          end
+      | Ptype.Tchar ->
+          if pos + 1 > len then false
+          else begin
+            values.(slot) <- Value.Vchar (Char.chr (Payload.get_u8 body pos));
+            go (i + 1) (pos + 1)
+          end
+      | Ptype.Tbool ->
+          if pos + 1 > len then false
+          else
+            let byte = Payload.get_u8 body pos in
+            if byte > 1 then false
+            else begin
+              values.(slot) <- Value.vbool (byte = 1);
+              go (i + 1) (pos + 1)
+            end
+      | Ptype.Tint ->
+          if pos + 4 > len then false
+          else begin
+            (* sign-extend from 32 bits *)
+            let raw = Payload.get_u32 body pos in
+            let n =
+              if raw land 0x80000000 <> 0 then raw - (1 lsl 32) else raw
+            in
+            values.(slot) <- Value.Vint n;
+            go (i + 1) (pos + 4)
+          end
+      | Ptype.Thost ->
+          if pos + 4 > len then false
+          else begin
+            values.(slot) <- Value.Vhost (Payload.get_u32 body pos);
+            go (i + 1) (pos + 4)
+          end
+      | Ptype.Tstring ->
+          if pos + 2 > len then false
+          else
+            let slen = Payload.get_u16 body pos in
+            if pos + 2 + slen > len then false
+            else begin
+              let s =
+                Payload.to_string (Payload.sub body ~pos:(pos + 2) ~len:slen)
+              in
+              values.(slot) <- Value.Vstring s;
+              go (i + 1) (pos + 2 + slen)
+            end
+      | Ptype.Tunit | Ptype.Tip | Ptype.Ttcp | Ptype.Tudp | Ptype.Ttuple _
+      | Ptype.Thash _ | Ptype.Thash_any ->
+          false
+  in
+  go 0 0
+
+let decoder pkt_type =
   match split_type pkt_type with
-  | None -> None
-  | Some (transport, payload_components) -> (
-      let transport_value =
-        match (transport, packet.Packet.l4) with
-        | `Tcp, Packet.Tcp header -> Some [ Value.Vtcp header ]
-        | `Udp, Packet.Udp header -> Some [ Value.Vudp header ]
-        | `Any, _ -> Some []
-        | (`Tcp | `Udp), _ -> None
+  | None -> fun _ -> None
+  | Some (transport, payload_components) ->
+      let layout = Array.of_list payload_components in
+      let first = match transport with `Tcp | `Udp -> 2 | `Any -> 1 in
+      let width = first + Array.length layout in
+      (* [values] arrives filled with the transport component, which is
+         slot 1 when there is one; the ip header and the payload
+         components overwrite the other slots. *)
+      let finish values (packet : Packet.t) =
+        values.(0) <- Value.Vip (ip_view_of packet);
+        if fill_payload layout packet.Packet.body values first then
+          Some (Value.Vtuple values)
+        else None
       in
-      match transport_value with
-      | None -> None
-      | Some transport_values -> (
-          match decode_payload payload_components packet.Packet.body with
-          | None -> None
-          | Some payload_values ->
-              Some
-                (Value.Vtuple
-                   (Array.of_list
-                      ((Value.Vip (ip_view_of packet) :: transport_values)
-                      @ payload_values)))))
+      fun (packet : Packet.t) ->
+        match (transport, packet.Packet.l4) with
+        | `Tcp, Packet.Tcp header ->
+            finish (Array.make width (Value.Vtcp header)) packet
+        | `Udp, Packet.Udp header ->
+            finish (Array.make width (Value.Vudp header)) packet
+        | `Any, _ -> finish (Array.make width Value.Vunit) packet
+        | (`Tcp | `Udp), _ -> None
+
+let decode pkt_type = decoder pkt_type
 
 let matches pkt_type packet = Option.is_some (decode pkt_type packet)
 

@@ -13,8 +13,17 @@
     [ip*tcp*char*int] channel accepts 5-byte bodies, [ip*tcp*char*bool]
     2-byte bodies. *)
 
-(** [decode pkt_type packet] is the packet value, or [None] when the packet
-    does not have the declared shape. *)
+(** [decoder pkt_type] is a decoder for one packet type, built once: it
+    splits the type into transport and payload layout when applied to
+    [pkt_type], and each call on a packet then checks the transport,
+    reads the body against the layout and fills the packet tuple's array
+    directly. A call is [Some] the packet value, or [None] when the packet
+    does not have the declared shape. {!Runtime.install} builds one per
+    channel. *)
+val decoder : Planp.Ptype.t -> Netsim.Packet.t -> Value.t option
+
+(** [decode pkt_type packet] is [decoder pkt_type packet]: for one-off
+    decodes; a caller with many packets of one type keeps the decoder. *)
 val decode : Planp.Ptype.t -> Netsim.Packet.t -> Value.t option
 
 (** [encode ~chan value] rebuilds a wire packet from a packet value. Packets

@@ -7,6 +7,38 @@ type prim = {
   pure : bool;
 }
 
+let check_arity n args =
+  if Array.length args <> n then
+    raise
+      (Value.Runtime_error
+         (Printf.sprintf "expected %d argument%s, got %d" n
+            (if n = 1 then "" else "s")
+            (Array.length args)))
+
+let pure prim_name expected result impl =
+  let arity = List.length expected in
+  {
+    prim_name;
+    type_fn = Planp.Prim_sig.fixed expected result;
+    impl =
+      (fun _world args ->
+        check_arity arity args;
+        impl args);
+    pure = true;
+  }
+
+let impure prim_name expected result impl =
+  let arity = List.length expected in
+  {
+    prim_name;
+    type_fn = Planp.Prim_sig.fixed expected result;
+    impl =
+      (fun world args ->
+        check_arity arity args;
+        impl world args);
+    pure = false;
+  }
+
 let registry : (string, prim) Hashtbl.t = Hashtbl.create 64
 let register prim = Hashtbl.replace registry prim.prim_name prim
 let find name = Hashtbl.find_opt registry name

@@ -1,5 +1,4 @@
 module Ptype = Planp.Ptype
-module Sig = Planp.Prim_sig
 
 (* Node-environment primitives: what a program can observe about the router
    it runs on. [linkLoad]/[linkCapacity] report in kilobytes per second,
@@ -10,45 +9,15 @@ let kbytes_per_s bps = int_of_float (bps /. 8.0 /. 1000.0)
 let install () =
   List.iter Prim.register
     [
-      {
-        Prim.prim_name = "linkLoad";
-        type_fn = Sig.fixed [ Ptype.Tint ] Ptype.Tint;
-        impl =
-          (fun world args ->
-            match args with
-            | [| ifindex |] ->
-                Value.Vint
-                  (kbytes_per_s
-                     (world.World.iface_load_bps (Value.as_int ifindex)))
-            | _ -> raise (Value.Runtime_error "linkLoad: expected 1 argument"));
-        pure = false;
-      };
-      {
-        Prim.prim_name = "linkCapacity";
-        type_fn = Sig.fixed [ Ptype.Tint ] Ptype.Tint;
-        impl =
-          (fun world args ->
-            match args with
-            | [| ifindex |] ->
-                Value.Vint
-                  (kbytes_per_s
-                     (world.World.iface_capacity_bps (Value.as_int ifindex)))
-            | _ ->
-                raise (Value.Runtime_error "linkCapacity: expected 1 argument"));
-        pure = false;
-      };
-      {
-        Prim.prim_name = "thisIface";
-        type_fn = Sig.fixed [] Ptype.Tint;
-        impl = (fun world _args -> Value.Vint world.World.incoming_iface);
-        pure = false;
-      };
-      {
-        Prim.prim_name = "timeMs";
-        type_fn = Sig.fixed [] Ptype.Tint;
-        impl =
-          (fun world _args ->
-            Value.Vint (int_of_float (world.World.now () *. 1000.0)));
-        pure = false;
-      };
+      Prim.impure "linkLoad" [ Ptype.Tint ] Ptype.Tint (fun world args ->
+          Value.Vint
+            (kbytes_per_s (world.World.iface_load_bps (Value.as_int args.(0)))));
+      Prim.impure "linkCapacity" [ Ptype.Tint ] Ptype.Tint (fun world args ->
+          Value.Vint
+            (kbytes_per_s
+               (world.World.iface_capacity_bps (Value.as_int args.(0)))));
+      Prim.impure "thisIface" [] Ptype.Tint (fun world _args ->
+          Value.Vint world.World.incoming_iface);
+      Prim.impure "timeMs" [] Ptype.Tint (fun world _args ->
+          Value.Vint (int_of_float (world.World.now () *. 1000.0)));
     ]

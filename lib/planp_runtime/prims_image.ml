@@ -1,44 +1,29 @@
 module Ptype = Planp.Ptype
-module Sig = Planp.Prim_sig
 
 let image_of_blob value =
   match Image.decode (Value.as_blob value) with
   | Some image -> image
   | None -> raise (Value.Planp_raise "BadImage")
 
-let pure prim_name expected result impl =
-  {
-    Prim.prim_name;
-    type_fn = Sig.fixed expected result;
-    impl = (fun _world args -> impl args);
-    pure = true;
-  }
-
-let arg1 = function
-  | [| a |] -> a
-  | _ -> raise (Value.Runtime_error "expected 1 argument")
-
-let arg2 = function
-  | [| a; b |] -> (a, b)
-  | _ -> raise (Value.Runtime_error "expected 2 arguments")
+let pure = Prim.pure
 
 let install () =
   List.iter Prim.register
     [
       pure "isImage" [ Ptype.Tblob ] Ptype.Tbool (fun args ->
-          Value.vbool (Option.is_some (Image.decode (Value.as_blob (arg1 args)))));
+          Value.vbool (Option.is_some (Image.decode (Value.as_blob args.(0)))));
       pure "imgWidth" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint (image_of_blob (arg1 args)).Image.width);
+          Value.Vint (image_of_blob args.(0)).Image.width);
       pure "imgHeight" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint (image_of_blob (arg1 args)).Image.height);
+          Value.Vint (image_of_blob args.(0)).Image.height);
       pure "imgDepth" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint (image_of_blob (arg1 args)).Image.depth);
+          Value.Vint (image_of_blob args.(0)).Image.depth);
       pure "imgBytes" [ Ptype.Tblob ] Ptype.Tint (fun args ->
-          Value.Vint (Image.encoded_size (image_of_blob (arg1 args))));
+          Value.Vint (Image.encoded_size (image_of_blob args.(0))));
       pure "imgDistill" [ Ptype.Tblob; Ptype.Tint ] Ptype.Tblob (fun args ->
-          let blob, levels = arg2 args in
-          let levels = Value.as_int levels in
+          let levels = Value.as_int args.(1) in
           if levels < 0 then raise (Value.Planp_raise "BadImage")
           else
-            Value.Vblob (Image.encode (Image.distill_n (image_of_blob blob) levels)));
+            Value.Vblob
+              (Image.encode (Image.distill_n (image_of_blob args.(0)) levels)));
     ]

@@ -1,5 +1,4 @@
 module Ptype = Planp.Ptype
-module Sig = Planp.Prim_sig
 
 (* One coarse version stamp over every resident table in the process:
    any write bumps it, and the flow cache drops version-stamped entries
@@ -79,14 +78,6 @@ let mk_type_fn = function
   | [ other ] -> Error (Printf.sprintf "expected int size, got %s" (Ptype.to_string other))
   | args -> Error (Printf.sprintf "expected 1 argument, got %d" (List.length args))
 
-let arg2 = function
-  | [| a; b |] -> (a, b)
-  | _ -> raise (Value.Runtime_error "expected 2 arguments")
-
-let arg3 = function
-  | [| a; b; c |] -> (a, b, c)
-  | _ -> raise (Value.Runtime_error "expected 3 arguments")
-
 let install () =
   List.iter Prim.register
     [
@@ -95,9 +86,8 @@ let install () =
         type_fn = mk_type_fn;
         impl =
           (fun _world args ->
-            match args with
-            | [| size |] -> Value.Vtable (Hashtbl.create (Int.max 1 (Value.as_int size)))
-            | _ -> raise (Value.Runtime_error "mkTable: expected 1 argument"));
+            Prim.check_arity 1 args;
+            Value.Vtable (Hashtbl.create (Int.max 1 (Value.as_int args.(0)))));
         pure = true;
       };
       {
@@ -105,10 +95,10 @@ let install () =
         type_fn = get_type_fn;
         impl =
           (fun _world args ->
-            let table, key, default = arg3 args in
-            match Hashtbl.find_opt (Value.as_table table) key with
+            Prim.check_arity 3 args;
+            match Hashtbl.find_opt (Value.as_table args.(0)) args.(1) with
             | Some value -> value
-            | None -> default);
+            | None -> args.(2));
         pure = true;
       };
       {
@@ -116,8 +106,8 @@ let install () =
         type_fn = set_type_fn;
         impl =
           (fun _world args ->
-            let table, key, value = arg3 args in
-            Hashtbl.replace (Value.as_table table) key value;
+            Prim.check_arity 3 args;
+            Hashtbl.replace (Value.as_table args.(0)) args.(1) args.(2);
             bump_generation ();
             Value.Vunit);
         pure = true;
@@ -127,8 +117,8 @@ let install () =
         type_fn = key_only_type_fn Ptype.Tbool;
         impl =
           (fun _world args ->
-            let table, key = arg2 args in
-            Value.vbool (Hashtbl.mem (Value.as_table table) key));
+            Prim.check_arity 2 args;
+            Value.vbool (Hashtbl.mem (Value.as_table args.(0)) args.(1)));
         pure = true;
       };
       {
@@ -136,8 +126,8 @@ let install () =
         type_fn = key_only_type_fn Ptype.Tunit;
         impl =
           (fun _world args ->
-            let table, key = arg2 args in
-            Hashtbl.remove (Value.as_table table) key;
+            Prim.check_arity 2 args;
+            Hashtbl.remove (Value.as_table args.(0)) args.(1);
             bump_generation ();
             Value.Vunit);
         pure = true;
@@ -147,9 +137,8 @@ let install () =
         type_fn = table_only_type_fn Ptype.Tint;
         impl =
           (fun _world args ->
-            match args with
-            | [| table |] -> Value.Vint (Hashtbl.length (Value.as_table table))
-            | _ -> raise (Value.Runtime_error "tblSize: expected 1 argument"));
+            Prim.check_arity 1 args;
+            Value.Vint (Hashtbl.length (Value.as_table args.(0))));
         pure = true;
       };
       {
@@ -157,12 +146,10 @@ let install () =
         type_fn = table_only_type_fn Ptype.Tunit;
         impl =
           (fun _world args ->
-            match args with
-            | [| table |] ->
-                Hashtbl.reset (Value.as_table table);
-                bump_generation ();
-                Value.Vunit
-            | _ -> raise (Value.Runtime_error "tblClear: expected 1 argument"));
+            Prim.check_arity 1 args;
+            Hashtbl.reset (Value.as_table args.(0));
+            bump_generation ();
+            Value.Vunit);
         pure = true;
       };
     ]

@@ -10,6 +10,7 @@ type stats = {
 
 type chan_slot = {
   chan : Ast.channel;
+  decode : Packet.t -> Value.t option;  (* [Pkt_codec.decoder] of its type *)
   exec : Backend.chan_exec;
   cache : Flowcache.t option;
   mutable chan_state : Value.t;
@@ -34,6 +35,9 @@ type t = {
   m_errors : Obs.Registry.counter;
   out : Buffer.t;
   resource_bound : int option;
+  (* The world for packets from interface [i] sits at [i + 1] (index 0 is
+     [inject]'s -1), built on first use. *)
+  mutable worlds : World.t option array;
 }
 
 type error =
@@ -74,12 +78,13 @@ let channel_state program chan_name index =
 let output t = Buffer.contents t.out
 
 (* The world visible to a program executing on this node for a packet that
-   arrived on [ifindex]. *)
+   arrived on [ifindex]. Everything it observes is read at call time: a
+   partitioned run re-homes the node onto another engine after the world
+   may have been built. *)
 let make_world t ~ifindex =
   let node = t.rt_node in
-  let engine = Node.engine node in
   {
-    World.now = (fun () -> Netsim.Engine.now engine);
+    World.now = (fun () -> Netsim.Engine.now (Node.engine node));
     node_addr = (fun () -> Node.addr node);
     iface_load_bps =
       (fun i ->
@@ -118,6 +123,23 @@ let make_world t ~ifindex =
     print = (fun s -> Buffer.add_string t.out s);
   }
 
+let world t ~ifindex =
+  let index = ifindex + 1 in
+  if index < 0 then make_world t ~ifindex
+  else begin
+    if index >= Array.length t.worlds then begin
+      let grown = Array.make (index + 1) None in
+      Array.blit t.worlds 0 grown 0 (Array.length t.worlds);
+      t.worlds <- grown
+    end;
+    match t.worlds.(index) with
+    | Some world -> world
+    | None ->
+        let world = make_world t ~ifindex in
+        t.worlds.(index) <- Some world;
+        world
+  end
+
 (* Install-time world: initializers may print but not touch the network. *)
 let bootstrap_world t =
   let world = make_world t ~ifindex:(-1) in
@@ -145,7 +167,7 @@ let dispatch t packet =
           | [] -> None
           | slot :: slots ->
               if tag_matches slot packet then
-                match Pkt_codec.decode slot.chan.Ast.pkt_type packet with
+                match slot.decode packet with
                 | Some value -> Some (program, slot, value)
                 | None -> find_slot slots
               else find_slot slots
@@ -163,7 +185,7 @@ let process t ~ifindex ~l2_dst packet =
       Obs.Registry.incr t.m_fallthrough;
       Node.default_process t.rt_node ~ifindex ~l2_dst packet
   | Some (program, slot, pkt_value) -> (
-      let world = make_world t ~ifindex in
+      let world = world t ~ifindex in
       let run_real world =
         try
           let ps', ss' =
@@ -256,6 +278,7 @@ let attach ?resource_bound rt_node =
           "planp.runtime.errors";
       out = Buffer.create 256;
       resource_bound;
+      worlds = [||];
     }
   in
   Node.set_hook rt_node (fun _node ~ifindex ~l2_dst packet ->
@@ -345,7 +368,14 @@ let install ?(backend = Interp.backend) ?(pre = default_pre) ?(name = "asp") t
                     let cache =
                       Flowcache.build ~node_name ~chan ~verdict ~globals ~funs
                     in
-                    { chan; exec; cache; chan_state; hits = 0 })
+                    {
+                      chan;
+                      decode = Pkt_codec.decoder chan.Ast.pkt_type;
+                      exec;
+                      cache;
+                      chan_state;
+                      hits = 0;
+                    })
                   compiled verdicts
               in
               let program =

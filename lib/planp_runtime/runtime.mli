@@ -10,7 +10,16 @@
 
     Program-level exceptions escaping a channel body drop the packet and
     are counted in {!stats} — the situation the delivery analysis
-    (paper §2.1) exists to rule out. *)
+    (paper §2.1) exists to rule out.
+
+    Per-packet work is limited to the packet itself. [install] builds one
+    {!Pkt_codec.decoder} per channel, and the runtime builds one
+    {!World.t} per incoming interface (plus one for {!inject}'s -1) the
+    first time a packet arrives there, then hands that same world to
+    every later packet from the interface. A world reads the clock, the
+    node's address and the interface loads when the program asks, through
+    the node's current engine, so it stays correct after a partitioned
+    run ({!Netsim.Par_engine}) moves the node onto another engine. *)
 
 type t
 

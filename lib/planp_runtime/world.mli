@@ -1,8 +1,9 @@
 (** What a running PLAN-P program may observe and do on its node.
 
-    A [World.t] is built per packet invocation by {!Runtime} and threaded
-    through whichever backend executes the channel body. Pure evaluation in
-    tests uses {!dummy}. *)
+    {!Runtime} builds one [World.t] per incoming interface of its node and
+    threads it through whichever backend executes the channel body, for
+    every packet from that interface. Pure evaluation in tests uses
+    {!dummy}. *)
 
 type target =
   | Remote  (** [OnRemote]: route toward the packet's IP destination *)

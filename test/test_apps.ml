@@ -143,6 +143,79 @@ let http_end_to_end_small () =
   check "nothing in flight" 0 (Http_app.Client.in_flight client);
   checkb "responses took time" true (Http_app.Client.mean_response_time client > 0.0)
 
+(* One response body per server: every segment is [min mss remaining]
+   bytes of 0x55, a response's segments add up to the file size, and all
+   segments are views of one string that still reads all 0x55 after the
+   run. *)
+let http_shared_response_body () =
+  let topo = Topology.create () in
+  let server_node = Topology.add_host topo "server" "10.0.0.1" in
+  let client_node = Topology.add_host topo "client" "10.0.0.2" in
+  ignore (Topology.connect topo ~bandwidth_bps:100e6 server_node client_node);
+  Topology.compute_routes topo;
+  let mss = 1460 in
+  ignore (Http_app.Server.start ~mss server_node ());
+  let segments = Hashtbl.create 8 in
+  Node.on_tcp_default client_node (fun _ (packet : Netsim.Packet.t) ->
+      match packet.Netsim.Packet.l4 with
+      | Netsim.Packet.Tcp { Netsim.Packet.tcp_dst; tcp_seq; _ } ->
+          let seen =
+            Option.value ~default:[] (Hashtbl.find_opt segments tcp_dst)
+          in
+          Hashtbl.replace segments tcp_dst
+            ((tcp_seq, packet.Netsim.Packet.body) :: seen)
+      | Netsim.Packet.Udp _ | Netsim.Packet.Raw -> ());
+  let files = List.init 6 (fun i -> i + 1) in
+  List.iter
+    (fun file ->
+      let writer = Payload.Writer.create () in
+      Payload.Writer.u32 writer file;
+      Node.send_tcp client_node ~dst:(Node.addr server_node)
+        ~src_port:(20000 + file) ~dst_port:80 (Payload.Writer.finish writer))
+    files;
+  Topology.run_until topo ~stop:30.0;
+  let all_55 (base, off, len) =
+    let ok = ref true in
+    for i = off to off + len - 1 do
+      if base.[i] <> '\x55' then ok := false
+    done;
+    !ok
+  in
+  let bodies =
+    List.concat_map
+      (fun file ->
+        let size = Http_app.file_size file in
+        let segs =
+          Option.value ~default:[] (Hashtbl.find_opt segments (20000 + file))
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+          |> List.map snd
+        in
+        check (Printf.sprintf "file %d: bytes sum to its size" file) size
+          (List.fold_left (fun acc body -> acc + Payload.length body) 0 segs);
+        List.iteri
+          (fun k body ->
+            let len = Payload.length body in
+            check
+              (Printf.sprintf "file %d segment %d length" file k)
+              (Int.min mss (size - (k * mss)))
+              len;
+            let base, off = Payload.backing body in
+            checkb
+              (Printf.sprintf "file %d segment %d all 0x55" file k)
+              true (all_55 (base, off, len)))
+          segs;
+        segs)
+      files
+  in
+  checkb "some response spans several segments" true
+    (List.length bodies > List.length files);
+  let shared = fst (Payload.backing (List.hd bodies)) in
+  checkb "every segment is a view of one body" true
+    (List.for_all (fun body -> fst (Payload.backing body) == shared) bodies);
+  check "the shared body is one segment long" mss (String.length shared);
+  checkb "the shared body still reads all 0x55" true
+    (all_55 (shared, 0, String.length shared))
+
 let http_gateway_balances () =
   (* Native gateway splits a stream of distinct connections ~evenly. *)
   let topo = Topology.create () in
@@ -336,6 +409,8 @@ let () =
           Alcotest.test_case "trace" `Quick http_trace;
           Alcotest.test_case "trace file roundtrip" `Quick http_trace_file_roundtrip;
           Alcotest.test_case "end to end" `Quick http_end_to_end_small;
+          Alcotest.test_case "shared response body" `Quick
+            http_shared_response_body;
           Alcotest.test_case "gateway balances" `Quick http_gateway_balances;
           Alcotest.test_case "connection affinity" `Quick
             http_gateway_connection_affinity;

@@ -306,7 +306,8 @@ let cli_adapt_closed_loop () =
 
 (* The tentpole pin at the CLI level: a full closed loop — faults, a
    firing policy, a coordinated swap staged over a 3-router fleet — must
-   export byte-identical metrics and timeline for any --domains count. *)
+   export byte-identical metrics and narrate the same decisions, at the
+   same simulated times, for any --domains count. *)
 let cli_adapt_domains_parity () =
   let path = write_program forwarder in
   let variant = write_tmp ".planp" forwarder in
@@ -337,9 +338,17 @@ let cli_adapt_domains_parity () =
     check (Printf.sprintf "domains %d exit 0" domains) 0 code;
     (output, read_and_remove m)
   in
+  (* The plane's narrated decisions: "  [   5.502s] rule  what  note". *)
+  let decisions output =
+    String.split_on_char '\n' output
+    |> List.filter (fun line ->
+           String.length line > 3 && String.sub line 0 3 = "  [")
+  in
   let out1, m1 = leg 1 in
   checkb "fleet-wide initial deploy" true (contains out1 "to 3 routers");
   checkb "rule fired a swap" true (contains out1 "swap asp lite");
+  checkb "stage ACKs and the guard narrated" true
+    (List.length (decisions out1) >= 5);
   List.iter
     (fun domains ->
       let out, m = leg domains in
@@ -349,7 +358,10 @@ let cli_adapt_domains_parity () =
         (contains out (Printf.sprintf "domains: %d" domains));
       checkb
         (Printf.sprintf "metrics byte-identical at %d domains" domains)
-        true (m = m1))
+        true (m = m1);
+      Alcotest.(check (list string))
+        (Printf.sprintf "decisions identical at %d domains" domains)
+        (decisions out1) (decisions out))
     [ 2; 4 ];
   Sys.remove path;
   Sys.remove variant;

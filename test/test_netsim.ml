@@ -1,6 +1,5 @@
 (* Unit tests for the network simulator substrate. *)
 
-module Heap = Netsim.Heap
 module Sched = Netsim.Sched
 module Engine = Netsim.Engine
 module Addr = Netsim.Addr
@@ -18,49 +17,6 @@ let check = Alcotest.(check int)
 let checkf = Alcotest.(check (float 1e-9))
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
-
-(* ---------- heap ---------- *)
-
-let heap_orders_by_time () =
-  let heap = Heap.create () in
-  List.iter (fun t -> Heap.add heap ~time:t t) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop heap with
-    | Some (_, v) ->
-        order := v :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list (float 0.0)))
-    "sorted" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] (List.rev !order)
-
-let heap_fifo_on_ties () =
-  let heap = Heap.create () in
-  List.iter (fun v -> Heap.add heap ~time:1.0 v) [ "a"; "b"; "c" ];
-  let next () = snd (Option.get (Heap.pop heap)) in
-  checks "first" "a" (next ());
-  checks "second" "b" (next ());
-  checks "third" "c" (next ())
-
-let heap_grows () =
-  let heap = Heap.create () in
-  for i = 1000 downto 1 do
-    Heap.add heap ~time:(float_of_int i) i
-  done;
-  check "size" 1000 (Heap.size heap);
-  let first = Option.get (Heap.pop heap) in
-  check "min" 1 (snd first);
-  Heap.clear heap;
-  checkb "empty after clear" true (Heap.is_empty heap)
-
-let heap_peek () =
-  let heap = Heap.create () in
-  Alcotest.(check (option (float 0.0))) "empty" None (Heap.peek_time heap);
-  Heap.add heap ~time:7.0 ();
-  Alcotest.(check (option (float 0.0))) "peek" (Some 7.0) (Heap.peek_time heap);
-  check "size unchanged by peek" 1 (Heap.size heap)
 
 (* ---------- sched (calendar queue) ---------- *)
 
@@ -1088,13 +1044,6 @@ let topology_rejects_duplicates () =
 let () =
   Alcotest.run "netsim"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "orders by time" `Quick heap_orders_by_time;
-          Alcotest.test_case "fifo on ties" `Quick heap_fifo_on_ties;
-          Alcotest.test_case "grows" `Quick heap_grows;
-          Alcotest.test_case "peek" `Quick heap_peek;
-        ] );
       ( "sched",
         [
           Alcotest.test_case "orders by time" `Quick sched_orders_by_time;

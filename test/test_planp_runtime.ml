@@ -537,6 +537,55 @@ let runtime_globals_evaluated_once () =
   Runtime.inject rt (Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2 Payload.empty);
   checkb "global used" true (Value.equal (Value.Vint 5) (Runtime.proto_state program))
 
+(* The runtime reuses one world per incoming interface (and one for
+   [inject]'s -1). Every packet must still see its own interface and the
+   time it ran at, including after the node moves to another engine, as a
+   partitioned run does. *)
+let runtime_world_per_iface () =
+  List.iter
+    (fun backend ->
+      let engine = Netsim.Engine.create () in
+      let node = Netsim.Node.create engine ~name:"n" ~addr:(addr "10.0.0.1") in
+      for i = 0 to 1 do
+        ignore
+          (Netsim.Node.add_iface node ~name:(Printf.sprintf "if%d" i)
+             (fun ~l2_dst:_ _ -> true))
+      done;
+      let rt = Runtime.attach node in
+      ignore
+        (Runtime.install_exn ~backend rt
+           ~source:
+             "channel network(ps : int, ss : int, p : ip*udp*blob) is\n\
+              (print(itos(thisIface()) ^ \"@\" ^ itos(timeMs()) ^ \";\"); (ps, ss))"
+           ());
+      let expected = Buffer.create 64 in
+      (* Six packets per engine, cycling through interfaces 0, 1 and -1,
+         a quarter second apart from [start]. *)
+      let inject_on engine ~start =
+        for k = 0 to 5 do
+          let ifindex = [| 0; 1; -1 |].(k mod 3) in
+          let at = start +. (0.25 *. float_of_int (k + 1)) in
+          Buffer.add_string expected
+            (Printf.sprintf "%d@%d;" ifindex (int_of_float (at *. 1000.0)));
+          Netsim.Engine.schedule engine ~at (fun () ->
+              Runtime.inject ~ifindex rt
+                (Packet.udp ~src:1 ~dst:2 ~src_port:1 ~dst_port:2
+                   Payload.empty))
+        done;
+        Netsim.Engine.run_until engine ~stop:(start +. 2.0)
+      in
+      inject_on engine ~start:0.0;
+      let later = Netsim.Engine.create () in
+      Netsim.Engine.run_until later ~stop:50.0;
+      Netsim.Node.set_engine node later;
+      inject_on later ~start:50.0;
+      checks
+        (backend.Planp_runtime.Backend.backend_name
+       ^ ": each packet's interface and time")
+        (Buffer.contents expected) (Runtime.output rt);
+      check "handled" 12 (Runtime.stats rt).Runtime.handled)
+    [ Interp.backend; Planp_jit.Specialize.backend ]
+
 let () =
   Alcotest.run "planp-runtime"
     [
@@ -595,5 +644,7 @@ let () =
           Alcotest.test_case "multiple programs" `Quick runtime_multiple_programs;
           Alcotest.test_case "reinstall ordering" `Quick
             runtime_reinstall_ordering;
+          Alcotest.test_case "world per interface" `Quick
+            runtime_world_per_iface;
         ] );
     ]

@@ -24,19 +24,6 @@ let addr_roundtrip =
       let addr = Netsim.Addr.of_octets a b c d in
       Netsim.Addr.of_string (Netsim.Addr.to_string addr) = addr)
 
-let heap_sorts =
-  Q.Test.make ~name:"heap: pops in nondecreasing time order" ~count:200
-    Q.(list (float_bound_inclusive 1000.0))
-    (fun times ->
-      let heap = Netsim.Heap.create () in
-      List.iter (fun t -> Netsim.Heap.add heap ~time:t ()) times;
-      let rec drain last =
-        match Netsim.Heap.pop heap with
-        | None -> true
-        | Some (t, ()) -> t >= last && drain t
-      in
-      drain neg_infinity)
-
 let sched_matches_reference_model =
   (* Differential test of the calendar queue against a sorted-list model
      under random interleavings of add and pop. Times sit on a coarse grid
@@ -509,6 +496,197 @@ let codec_roundtrip =
       | Some decoded -> Value.equal value decoded
       | None -> false)
 
+(* ---------- codec: install-time decoder against the list reference ---------- *)
+
+(* The list-based decoder [Pkt_codec.decoder] replaced, kept as the
+   reference it must agree with: it re-splits the type per packet, collects
+   components in a list and appends the header values in front. *)
+module Reference_codec = struct
+  module Ptype = Planp.Ptype
+  module Packet = Netsim.Packet
+
+  let split_type = function
+    | Ptype.Ttuple (Ptype.Tip :: rest) ->
+        let transport, payload =
+          match rest with
+          | Ptype.Ttcp :: payload -> (`Tcp, payload)
+          | Ptype.Tudp :: payload -> (`Udp, payload)
+          | payload -> (`Any, payload)
+        in
+        Some (transport, payload)
+    | _ -> None
+
+  let decode_payload components body =
+    let len = Payload.length body in
+    let rec go components pos acc =
+      match components with
+      | [] -> if pos = len then Some (List.rev acc) else None
+      | Ptype.Tblob :: [] ->
+          Some
+            (List.rev
+               (Value.Vblob (Payload.sub body ~pos ~len:(len - pos)) :: acc))
+      | Ptype.Tblob :: _ -> None
+      | Ptype.Tchar :: rest ->
+          if pos + 1 > len then None
+          else
+            go rest (pos + 1)
+              (Value.Vchar (Char.chr (Payload.get_u8 body pos)) :: acc)
+      | Ptype.Tbool :: rest ->
+          if pos + 1 > len then None
+          else
+            let byte = Payload.get_u8 body pos in
+            if byte > 1 then None
+            else go rest (pos + 1) (Value.Vbool (byte = 1) :: acc)
+      | Ptype.Tint :: rest ->
+          if pos + 4 > len then None
+          else
+            let raw = Payload.get_u32 body pos in
+            let n =
+              if raw land 0x80000000 <> 0 then raw - (1 lsl 32) else raw
+            in
+            go rest (pos + 4) (Value.Vint n :: acc)
+      | Ptype.Thost :: rest ->
+          if pos + 4 > len then None
+          else go rest (pos + 4) (Value.Vhost (Payload.get_u32 body pos) :: acc)
+      | Ptype.Tstring :: rest ->
+          if pos + 2 > len then None
+          else
+            let slen = Payload.get_u16 body pos in
+            if pos + 2 + slen > len then None
+            else
+              let s =
+                Payload.to_string (Payload.sub body ~pos:(pos + 2) ~len:slen)
+              in
+              go rest (pos + 2 + slen) (Value.Vstring s :: acc)
+      | ( Ptype.Tunit | Ptype.Tip | Ptype.Ttcp | Ptype.Tudp | Ptype.Ttuple _
+        | Ptype.Thash _ | Ptype.Thash_any )
+        :: _ ->
+          None
+    in
+    go components 0 []
+
+  let decode pkt_type (packet : Packet.t) =
+    match split_type pkt_type with
+    | None -> None
+    | Some (transport, payload_components) -> (
+        let transport_values =
+          match (transport, packet.Packet.l4) with
+          | `Tcp, Packet.Tcp header -> Some [ Value.Vtcp header ]
+          | `Udp, Packet.Udp header -> Some [ Value.Vudp header ]
+          | `Any, _ -> Some []
+          | (`Tcp | `Udp), _ -> None
+        in
+        match transport_values with
+        | None -> None
+        | Some transport_values -> (
+            match decode_payload payload_components packet.Packet.body with
+            | None -> None
+            | Some payload_values ->
+                let ip =
+                  {
+                    Value.vsrc = packet.Packet.src;
+                    vdst = packet.Packet.dst;
+                    vttl = packet.Packet.ttl;
+                  }
+                in
+                Some
+                  (Value.Vtuple
+                     (Array.of_list
+                        ((Value.Vip ip :: transport_values) @ payload_values)))))
+end
+
+(* A packet type — ip, then tcp, udp or no transport, then 0-4 components,
+   mostly payload types (a blob may sit anywhere) and sometimes types no
+   payload can hold — with a packet for it: the exact layout, or 1-3 bytes
+   short or long; bool bytes 2-255; string length prefixes that overrun;
+   an l4 header that sometimes disagrees with the type. The body comes as
+   a plain payload, a view into a larger string or an unforced rope. *)
+let codec_case_gen =
+  let open Q.Gen in
+  let module Ptype = Planp.Ptype in
+  let component_type =
+    frequency
+      [
+        ( 6,
+          oneofl
+            [ Ptype.Tchar; Ptype.Tbool; Ptype.Tint; Ptype.Thost; Ptype.Tstring;
+              Ptype.Tblob ] );
+        ( 1,
+          oneofl
+            [ Ptype.Tunit; Ptype.Tip; Ptype.Ttcp; Ptype.Tudp;
+              Ptype.Ttuple [ Ptype.Tint; Ptype.Tint ]; Ptype.Thash_any ] );
+      ]
+  in
+  let bytes n = string_size ~gen:char (return n) in
+  let field = function
+    | Ptype.Tchar -> bytes 1
+    | Ptype.Tbool ->
+        frequency
+          [
+            (4, oneofl [ "\000"; "\001" ]);
+            (1, map (fun b -> String.make 1 (Char.chr b)) (int_range 2 255));
+          ]
+    | Ptype.Tint | Ptype.Thost -> bytes 4
+    | Ptype.Tstring ->
+        let* text = string_size ~gen:printable (int_range 0 6) in
+        let+ overrun = frequency [ (4, return 0); (1, int_range 1 5) ] in
+        let prefix = Bytes.create 2 in
+        Bytes.set_uint16_be prefix 0 (String.length text + overrun);
+        Bytes.to_string prefix ^ text
+    | _ -> string_size ~gen:char (int_range 0 6)
+  in
+  let* transport = oneofl [ `Tcp; `Udp; `Any ] in
+  let* components = list_size (int_range 0 4) component_type in
+  let* l4 = frequency [ (4, return transport); (1, oneofl [ `Tcp; `Udp; `Any ]) ] in
+  let* fields = flatten_l (List.map field components) in
+  let exact = String.concat "" fields in
+  let* skew =
+    frequency [ (3, return 0); (1, int_range (-3) (-1)); (1, int_range 1 3) ]
+  in
+  let* tail = bytes (Int.max 0 skew) in
+  let body =
+    if skew < 0 then
+      String.sub exact 0 (Int.max 0 (String.length exact + skew))
+    else exact ^ tail
+  in
+  let+ shape = int_range 0 2 in
+  let transport_types =
+    match transport with
+    | `Tcp -> [ Ptype.Ttcp ]
+    | `Udp -> [ Ptype.Tudp ]
+    | `Any -> []
+  in
+  (Ptype.Ttuple ((Ptype.Tip :: transport_types) @ components), l4, body, shape)
+
+let codec_case_packet (_, l4, body, shape) =
+  let payload = audio_payload (body, shape) in
+  let src = Netsim.Addr.of_string "10.0.0.1"
+  and dst = Netsim.Addr.of_string "10.0.0.2" in
+  match l4 with
+  | `Tcp -> Netsim.Packet.tcp ~src ~dst ~src_port:1234 ~dst_port:80 ~seq:7 payload
+  | `Udp -> Netsim.Packet.udp ~src ~dst ~src_port:53 ~dst_port:5353 payload
+  | `Any -> Netsim.Packet.make ~src ~dst Netsim.Packet.Raw payload
+
+let codec_decoder_matches_reference =
+  let print (ty, l4, body, shape) =
+    Printf.sprintf "%s, l4 %s, shape %d, body %S"
+      (Planp.Ptype.to_string ty)
+      (match l4 with `Tcp -> "tcp" | `Udp -> "udp" | `Any -> "raw")
+      shape body
+  in
+  Q.Test.make ~name:"codec: decoder agrees with the list reference" ~count:2000
+    (Q.make ~print codec_case_gen)
+    (fun ((ty, _, _, _) as case) ->
+      (* Fresh packets: decoding a rope forces it in place. *)
+      let decoder = Planp_runtime.Pkt_codec.decoder ty in
+      match
+        (decoder (codec_case_packet case),
+         Reference_codec.decode ty (codec_case_packet case))
+      with
+      | Some got, Some want -> Value.equal got want
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+
 (* Feed random bytes to the front end: it must either parse or raise the
    documented Error exceptions — never crash, never loop. *)
 let frontend_fuzz =
@@ -560,7 +738,6 @@ let () =
     List.map QCheck_alcotest.to_alcotest
       [
         addr_roundtrip;
-        heap_sorts;
         sched_matches_reference_model;
         bucket_int_float_parity;
         payload_u32_roundtrip;
@@ -576,6 +753,7 @@ let () =
         pretty_parse_roundtrip;
         reparsed_evaluates_same;
         codec_roundtrip;
+        codec_decoder_matches_reference;
         frontend_fuzz;
         frontend_mutation_fuzz;
         flowstat_rate_nonnegative;
