@@ -2,7 +2,7 @@
    evaluation.
 
      dune exec bench/main.exe            -- everything (fig3 fig6 fig7 fig8
-                                            backends verify)
+                                            mpeg verify ext)
      dune exec bench/main.exe -- fig8    -- one artifact
      dune exec bench/main.exe -- all --quick   -- shortened runs
      dune exec bench/main.exe -- fig6 --metrics-out m.json
@@ -453,113 +453,6 @@ let mpeg () =
      modified. Later clients join the live stream (fewer frames).\n"
 
 (* ------------------------------------------------------------------ *)
-(* Backends -- per-packet execution cost (2.4 claims)                  *)
-(* ------------------------------------------------------------------ *)
-
-let backends () =
-  section "Backends -- per-packet execution time of the gateway channel";
-  let source =
-    Asp.Http_asp.gateway_program ~vip:"10.3.0.100"
-      ~servers:("10.3.0.1", "10.3.0.2") ()
-  in
-  let checked = checked_of source in
-  let globals = globals_of checked in
-  let packet =
-    Netsim.Packet.tcp
-      ~src:(Netsim.Addr.of_string "192.168.0.7")
-      ~dst:(Netsim.Addr.of_string "10.3.0.100")
-      ~src_port:4242 ~dst_port:80
-      (Netsim.Payload.of_string "GET /index.html HTTP/1.0")
-  in
-  let open Bechamel in
-  (* A no-op world: the dummy world records emissions, which would both
-     accumulate memory over millions of runs and bill the recording to the
-     engine under test. *)
-  let null_world =
-    let dummy, _, _ = Planp_runtime.World.dummy () in
-    { dummy with
-      Planp_runtime.World.emit = (fun _ ~chan:_ _ -> ());
-      print = (fun _ -> ()) }
-  in
-  let backend_test backend =
-    let compiled = backend.Planp_runtime.Backend.compile checked ~globals in
-    let chan, exec = List.hd compiled in
-    let pkt =
-      Option.get (Planp_runtime.Pkt_codec.decode chan.Planp.Ast.pkt_type packet)
-    in
-    let world = null_world in
-    let table = Planp_runtime.Value.Vtable (Hashtbl.create 64) in
-    Test.make
-      ~name:backend.Planp_runtime.Backend.backend_name
-      (Staged.stage (fun () ->
-           ignore (exec world ~ps:(Planp_runtime.Value.Vint 0) ~ss:table ~pkt)))
-  in
-  (* The "built-in C" reference: the same logic as a native OCaml closure. *)
-  let native_test =
-    let connections = Hashtbl.create 64 in
-    let count = ref 0 in
-    let vip = Netsim.Addr.of_string "10.3.0.100" in
-    let server0 = Netsim.Addr.of_string "10.3.0.1" in
-    let server1 = Netsim.Addr.of_string "10.3.0.2" in
-    Test.make ~name:"native"
-      (Staged.stage (fun () ->
-           match packet.Netsim.Packet.l4 with
-           | Netsim.Packet.Tcp tcp
-             when Netsim.Addr.equal packet.Netsim.Packet.dst vip
-                  && tcp.Netsim.Packet.tcp_dst = 80 ->
-               let conn =
-                 (packet.Netsim.Packet.src, tcp.Netsim.Packet.tcp_src)
-               in
-               let chosen =
-                 match Hashtbl.find_opt connections conn with
-                 | Some c -> c
-                 | None ->
-                     let c = !count mod 2 in
-                     Hashtbl.replace connections conn c;
-                     c
-               in
-               incr count;
-               let target = if chosen = 0 then server0 else server1 in
-               ignore (Netsim.Packet.with_dst packet target)
-           | _ -> ()))
-  in
-  let tests =
-    native_test
-    :: List.map backend_test
-         (Planp_jit.Backends.all () @ [ Planp_jit.Backends.jit_nofold ])
-  in
-  let results = bechamel_ns_per_run tests in
-  let ns name =
-    match
-      List.find_opt (fun (n, _) -> n = "bench/" ^ name || n = name) results
-    with
-    | Some (_, ns) -> ns
-    | None -> nan
-  in
-  Printf.printf "%-12s %12s %14s\n" "engine" "ns/packet" "vs native";
-  List.iter
-    (fun name ->
-      Printf.printf "%-12s %12.1f %13.2fx\n" name (ns name)
-        (ns name /. ns "native"))
-    [ "native"; "jit"; "jit-nofold"; "bytecode"; "interp" ];
-  record "backends"
-    (Obs.Json.Obj
-       (List.map
-          (fun name ->
-            ( name,
-              Obs.Json.Obj
-                [
-                  ("ns_per_packet", Obs.Json.Float (ns name));
-                  ("vs_native", Obs.Json.Float (ns name /. ns "native"));
-                ] ))
-          [ "native"; "jit"; "jit-nofold"; "bytecode"; "interp" ]));
-  Printf.printf
-    "\npaper 2.4: the JIT-compiled ASP matches built-in C and is about\n\
-     2x faster than Java bytecode (Harissa); the interpreter is the\n\
-     portable fallback. The jit row should sit near native, bytecode\n\
-     a small multiple, interp an order of magnitude.\n"
-
-(* ------------------------------------------------------------------ *)
 (* Verifier -- analysis cost and verdicts (2.1)                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -858,12 +751,32 @@ let perf_measure ~warmup ~alloc_iters ~min_seconds exec world pkt ps0 ss0 =
   let dt = Unix.gettimeofday () -. t0 in
   { pkts_per_s = float_of_int !iters /. dt; words_per_pkt }
 
-let perf_backends () =
+(* The gateway also runs the JIT without constant folding, the folding
+   ablation. *)
+let perf_backends key =
   [
     ("interp", Planp_runtime.Interp.backend);
     ("bytecode", Planp_jit.Backends.bytecode);
     ("jit", Planp_jit.Backends.jit);
   ]
+  @
+  if key = "http_gateway" then [ ("jit-nofold", Planp_jit.Backends.jit_nofold) ]
+  else []
+
+(* The paper's "built-in C" for the gateway: the native gateway's decision
+   ([Http_asp.native_gateway]) over the raw packet, run through the same
+   loop as the compiled channels. The threaded states pass through
+   untouched. *)
+let native_gateway packet =
+  let route, _ =
+    Asp.Http_asp.native_gateway
+      ~vip:(Netsim.Addr.of_string "10.3.0.100")
+      ~servers:(Netsim.Addr.of_string "10.3.0.1", Netsim.Addr.of_string "10.3.0.2")
+      ()
+  in
+  fun (_ : Planp_runtime.World.t) ~ps ~ss ~pkt:_ ->
+    ignore (Sys.opaque_identity (route packet));
+    (ps, ss)
 
 let perf_run () =
   let warmup = if !smoke then 200 else 1_000 in
@@ -901,10 +814,36 @@ let perf_run () =
             ( backend_name,
               perf_measure ~warmup ~alloc_iters ~min_seconds exec null_world pkt
                 ps0 ss0 ))
-          (perf_backends ())
+          (perf_backends key)
       in
-      (key, rows))
+      let native =
+        if key = "http_gateway" then
+          [
+            ( "native",
+              perf_measure ~warmup ~alloc_iters ~min_seconds
+                (native_gateway packet) null_world Planp_runtime.Value.Vunit
+                (Planp_runtime.Value.Vint 0) Planp_runtime.Value.Vunit );
+          ]
+        else []
+      in
+      (key, rows @ native))
     (perf_workloads ())
+
+(* Same-run throughput ratios: the JIT's speedup over the interpreter
+   (gated on the audio router), and the JIT's time per packet over the
+   native gateway's (the paper's JIT ≈ C claim; recorded, not gated). *)
+let perf_ratio rows a b =
+  match (List.assoc_opt a rows, List.assoc_opt b rows) with
+  | Some a, Some b -> Some (a.pkts_per_s /. b.pkts_per_s)
+  | _ -> None
+
+let perf_ratios rows =
+  List.filter_map
+    (fun (name, ratio) -> Option.map (fun r -> (name, r)) ratio)
+    [
+      ("jit_speedup_over_interp", perf_ratio rows "jit" "interp");
+      ("jit_time_over_native", perf_ratio rows "native" "jit");
+    ]
 
 let perf_asps_json results =
   Obs.Json.Obj
@@ -921,7 +860,10 @@ let perf_asps_json results =
                         ( "minor_words_per_pkt",
                           Obs.Json.Float point.words_per_pkt );
                       ] ))
-                rows) ))
+                rows
+             @ List.map
+                 (fun (name, r) -> (name, Obs.Json.Float r))
+                 (perf_ratios rows)) ))
        results)
 
 let perf_json results =
@@ -1018,14 +960,15 @@ let perf () =
             point.pkts_per_s point.words_per_pkt)
         rows)
     results;
-  let interp_ratio rows =
-    match (List.assoc_opt "jit" rows, List.assoc_opt "interp" rows) with
-    | Some jit, Some interp -> jit.pkts_per_s /. interp.pkts_per_s
-    | _ -> nan
-  in
   List.iter
     (fun (key, rows) ->
-      Printf.printf "%-14s jit is %.1fx interp\n" key (interp_ratio rows))
+      List.iter
+        (fun (name, r) ->
+          match name with
+          | "jit_speedup_over_interp" ->
+              Printf.printf "%-14s jit is %.1fx interp\n" key r
+          | _ -> Printf.printf "%-14s jit takes %.2fx native time\n" key r)
+        (perf_ratios rows))
     results;
   record "perf" (perf_json results);
   baseline_add "asps" (perf_asps_json results);
@@ -2425,7 +2368,6 @@ let all () =
   fig7 ();
   fig8 ();
   mpeg ();
-  backends ();
   verify ();
   ext ()
 
@@ -2560,7 +2502,6 @@ let () =
           | "fig7" -> fig7 ()
           | "fig8" -> fig8 ()
           | "mpeg" -> mpeg ()
-          | "backends" -> backends ()
           | "verify" -> verify ()
           | "ext" -> ext ()
           | "perf" -> perf ()
@@ -2571,7 +2512,7 @@ let () =
           | "adapt" -> adapt ()
           | other ->
               Printf.eprintf
-                "unknown section %s (expected fig3|fig6|fig7|fig8|mpeg|backends|verify|ext|perf|cache|scale|par|faults|adapt|all)\n"
+                "unknown section %s (expected fig3|fig6|fig7|fig8|mpeg|verify|ext|perf|cache|scale|par|faults|adapt|all)\n"
                 other;
               exit 1)
         sections);

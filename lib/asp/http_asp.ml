@@ -5,7 +5,7 @@ module Payload = Netsim.Payload
 (* ~21000 cycles on the paper's 170 MHz Ultra-1 — the kernel packet path
    plus header rewrite and connection lookup. The JIT-compiled ASP matches
    built-in C (the paper's central performance claim); interpretation pays
-   the factors measured by the `backends` microbenchmark. *)
+   the factors measured by the `perf` bench's same-run backend ratios. *)
 let gateway_cost_compiled = 125e-6
 
 let gateway_cost = function
@@ -151,11 +151,10 @@ let health_packet ~gateway ~server_index ~up =
     ~dst_port:0
     (Payload.Writer.finish writer)
 
-let install_native_gateway ?(port = 80) node ~vip ~servers:(server0, server1)
-    () =
+let native_gateway ?(port = 80) ~vip ~servers:(server0, server1) () =
   let connections : (Netsim.Addr.t * int, int) Hashtbl.t = Hashtbl.create 256 in
   let request_count = ref 0 in
-  let hook node ~ifindex ~l2_dst packet =
+  let route packet =
     match packet.Packet.l4 with
     | Packet.Tcp tcp
       when Netsim.Addr.equal packet.Packet.dst vip && tcp.Packet.tcp_dst = port
@@ -170,15 +169,20 @@ let install_native_gateway ?(port = 80) node ~vip ~servers:(server0, server1)
               chosen
         in
         incr request_count;
-        let target = if chosen = 0 then server0 else server1 in
-        Node.forward node ~ifindex (Packet.with_dst packet target)
+        Some (Packet.with_dst packet (if chosen = 0 then server0 else server1))
     | Packet.Tcp tcp
       when tcp.Packet.tcp_src = port
            && (Netsim.Addr.equal packet.Packet.src server0
               || Netsim.Addr.equal packet.Packet.src server1) ->
-        Node.forward node ~ifindex (Packet.with_src packet vip)
-    | Packet.Tcp _ | Packet.Udp _ | Packet.Raw ->
-        Node.default_process node ~ifindex ~l2_dst packet
+        Some (Packet.with_src packet vip)
+    | Packet.Tcp _ | Packet.Udp _ | Packet.Raw -> None
   in
-  Node.set_hook node hook;
+  (route, request_count)
+
+let install_native_gateway ?port node ~vip ~servers () =
+  let route, request_count = native_gateway ?port ~vip ~servers () in
+  Node.set_hook node (fun node ~ifindex ~l2_dst packet ->
+      match route packet with
+      | Some rewritten -> Node.forward node ~ifindex rewritten
+      | None -> Node.default_process node ~ifindex ~l2_dst packet);
   request_count

@@ -55,8 +55,19 @@ val failover_gateway_program :
 val health_packet :
   gateway:Netsim.Addr.t -> server_index:int -> up:bool -> Netsim.Packet.t
 
-(** [install_native_gateway node ~vip ~servers ()] installs the hook. The
-    returned counter reports rewritten requests. *)
+(** [native_gateway ~vip ~servers ()] is the built-in gateway's decision:
+    [route packet] is the rewritten packet to forward ([None]: standard
+    processing), and the counter reports rewritten requests. *)
+val native_gateway :
+  ?port:int ->
+  vip:Netsim.Addr.t ->
+  servers:Netsim.Addr.t * Netsim.Addr.t ->
+  unit ->
+  (Netsim.Packet.t -> Netsim.Packet.t option) * int ref
+
+(** [install_native_gateway node ~vip ~servers ()] installs
+    {!native_gateway} as the node's hook. The returned counter reports
+    rewritten requests. *)
 val install_native_gateway :
   ?port:int ->
   Netsim.Node.t ->

@@ -16,7 +16,7 @@ type binop =
 
 type unop = Not | Neg
 
-type expr = { desc : desc; loc : Loc.t }
+type expr = { desc : desc; loc : Loc.t; mutable ty : Ptype.t option }
 
 and desc =
   | Int of int
@@ -103,5 +103,5 @@ let line_count source =
   in
   List.length (List.filter is_code lines)
 
-let mk loc desc = { desc; loc }
+let mk loc desc = { desc; loc; ty = None }
 let network_channel = "network"

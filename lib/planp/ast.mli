@@ -24,7 +24,15 @@ type binop =
 
 type unop = Not | Neg
 
-type expr = { desc : desc; loc : Loc.t }
+type expr = {
+  desc : desc;
+  loc : Loc.t;
+  mutable ty : Ptype.t option;
+      (** the expression's type, written by {!Typecheck.check}; [None] before
+          checking, and after it for an expression that raises on every
+          path (it fits any context). A pass that rewrites a checked
+          expression keeps the type of the node it replaces. *)
+}
 
 and desc =
   | Int of int
@@ -92,6 +100,7 @@ val protostate : program -> (Ptype.t * expr) option
     the metric of the paper's Fig. 3. *)
 val line_count : string -> int
 
+(** [mk loc desc] is an unchecked expression ([ty = None]). *)
 val mk : Loc.t -> desc -> expr
 
 (** The distinguished channel name whose packets are selected by type from

@@ -43,7 +43,30 @@ let demand loc expected (actual : result_ty) context =
         fail loc "%s: expected %s, got %s" context (Ptype.to_string expected)
           (Ptype.to_string ty)
 
+(* Every annotation the programmer writes goes through here: a hash table
+   is keyed by [=], so its key type must be an equality type. *)
+let rec check_annotation loc (ty : Ptype.t) =
+  match ty with
+  | Ptype.Thash (key, value) ->
+      if not (Ptype.is_equality key) then
+        fail loc "hash_table key type %s is not an equality type"
+          (Ptype.to_string key);
+      check_annotation loc key;
+      check_annotation loc value
+  | Ptype.Ttuple components -> List.iter (check_annotation loc) components
+  | Ptype.Tint | Ptype.Tbool | Ptype.Tstring | Ptype.Tchar | Ptype.Tunit
+  | Ptype.Thost | Ptype.Tblob | Ptype.Tip | Ptype.Ttcp | Ptype.Tudp
+  | Ptype.Thash_any ->
+      ()
+
+(* The checker's result for every expression is also written into the
+   node, so later passes (the JIT's templates) read types off the AST. *)
 let rec check_expr env (expr : Ast.expr) : result_ty =
+  let ty = check_desc env expr in
+  expr.Ast.ty <- ty;
+  ty
+
+and check_desc env (expr : Ast.expr) : result_ty =
   let loc = expr.Ast.loc in
   match expr.Ast.desc with
   | Ast.Int _ -> Some Ptype.Tint
@@ -84,6 +107,7 @@ let rec check_expr env (expr : Ast.expr) : result_ty =
       let env =
         List.fold_left
           (fun env { Ast.bind_name; bind_type; bind_expr } ->
+            check_annotation bind_expr.Ast.loc bind_type;
             demand bind_expr.Ast.loc bind_type (check_expr env bind_expr)
               (Printf.sprintf "binding of %s" bind_name);
             { env with vals = (bind_name, bind_type) :: env.vals })
@@ -238,6 +262,9 @@ let check ~prims program =
       (fun decl ->
         match decl with
         | Ast.Dchannel chan ->
+            List.iter
+              (check_annotation chan.Ast.chan_loc)
+              [ chan.Ast.ps_type; chan.Ast.ss_type; chan.Ast.pkt_type ];
             if not (Ptype.is_packet chan.Ast.pkt_type) then
               fail chan.Ast.chan_loc
                 "channel %s: packet parameter must be a tuple headed by ip, got %s"
@@ -278,7 +305,9 @@ let check ~prims program =
                   "protocol state of type %s needs an explicit protostate declaration"
                   (Ptype.to_string chan.Ast.ps_type);
               (chan.Ast.ps_type, None))
-      | [ (ty, init, _) ] -> (ty, Some init)
+      | [ (ty, init, loc) ] ->
+          check_annotation loc ty;
+          (ty, Some init)
       | _ :: (_, _, loc) :: _ -> fail loc "multiple protostate declarations"
     in
     List.iter
@@ -300,6 +329,7 @@ let check ~prims program =
         | Ast.Dval ({ Ast.bind_name; bind_type; bind_expr }, loc) ->
             if List.mem_assoc bind_name !env.vals then
               fail loc "duplicate global value %s" bind_name;
+            check_annotation loc bind_type;
             demand bind_expr.Ast.loc bind_type (check_expr !env bind_expr)
               (Printf.sprintf "global %s" bind_name);
             env := { !env with vals = (bind_name, bind_type) :: !env.vals };
@@ -307,6 +337,8 @@ let check ~prims program =
         | Ast.Dfun { Ast.fun_name; params; ret_type; fun_body; fun_loc } ->
             if Hashtbl.mem !env.funs fun_name then
               fail fun_loc "duplicate function %s" fun_name;
+            List.iter (fun (_, ty) -> check_annotation fun_loc ty) params;
+            check_annotation fun_loc ret_type;
             (* The function is not yet visible in its own body: recursion is
                impossible by construction (local termination, paper §2.1). *)
             let body_env =
@@ -364,6 +396,19 @@ let check ~prims program =
         exceptions = List.rev !exceptions;
       }
   with Fail error -> Error error
+
+let check_expr ~prims ~vals expr =
+  let env =
+    {
+      vals;
+      funs = Hashtbl.create 1;
+      exns = Hashtbl.create 8;
+      chans = Hashtbl.create 1;
+      prims;
+    }
+  in
+  List.iter (fun name -> Hashtbl.replace env.exns name ()) builtin_exceptions;
+  try Ok (check_expr env expr) with Fail error -> Error error
 
 let pp_error fmt { message; loc } =
   Format.fprintf fmt "%a: %s" Loc.pp loc message

@@ -11,8 +11,13 @@
     - [OnRemote]/[OnNeighbor] targets exist, and the packet expression
       matches one of the target's declared packet types (any packet type for
       the distinguished [network] channel, whose packets travel untagged);
-    - equality is restricted to equality types; sequencing discards only
-      [unit].
+    - equality is restricted to equality types, and so are the key types
+      of every [hash_table] annotation; sequencing discards only [unit].
+
+    Checking also records the type of every expression in its node
+    ({!Ast.expr.ty}), so the passes after it need not infer types again:
+    {!Planp_jit.Fold} keeps them through its rewrites, and the JIT chooses
+    its templates by them.
 
     If no [protostate] declaration is present, all channels must declare a
     protocol-state parameter of a defaultable type (not a hash table). *)
@@ -32,7 +37,19 @@ type checked = {
   exceptions : string list;
 }
 
+(** [check ~prims program] checks [program] and annotates each of its
+    expressions with its type (see {!Ast.expr}). *)
 val check : prims:Prim_sig.lookup -> Ast.program -> (checked, error) result
+
+(** [check_expr ~prims ~vals e] checks and annotates a standalone
+    expression whose free variables have the types [vals]; only the
+    built-in exceptions are in scope, and no functions or channels. The
+    result is [None] for an expression that raises on every path. *)
+val check_expr :
+  prims:Prim_sig.lookup ->
+  vals:(string * Ptype.t) list ->
+  Ast.expr ->
+  (Ptype.t option, error) result
 
 (** [check_exn ~prims program] raises [Failure] with a rendered message. *)
 val check_exn : prims:Prim_sig.lookup -> Ast.program -> checked

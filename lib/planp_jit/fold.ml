@@ -6,21 +6,24 @@ module Prim = Planp_runtime.Prim
 let literal_of (expr : Ast.expr) =
   match expr.Ast.desc with
   | Ast.Int n -> Some (Value.Vint n)
-  | Ast.Bool b -> Some (Value.Vbool b)
+  | Ast.Bool b -> Some (Value.vbool b)
   | Ast.String s -> Some (Value.Vstring s)
   | Ast.Char c -> Some (Value.Vchar c)
   | Ast.Unit -> Some Value.Vunit
   | Ast.Host h -> Some (Value.Vhost h)
   | _ -> None
 
+(* A folded literal carries its type, as the checker would have given it. *)
+let typed_literal loc desc ty = { Ast.desc; loc; ty = Some ty }
+
 let expr_of_literal loc (value : Value.t) =
   match value with
-  | Value.Vint n -> Some (Ast.mk loc (Ast.Int n))
-  | Value.Vbool b -> Some (Ast.mk loc (Ast.Bool b))
-  | Value.Vstring s -> Some (Ast.mk loc (Ast.String s))
-  | Value.Vchar c -> Some (Ast.mk loc (Ast.Char c))
-  | Value.Vunit -> Some (Ast.mk loc Ast.Unit)
-  | Value.Vhost h -> Some (Ast.mk loc (Ast.Host h))
+  | Value.Vint n -> Some (typed_literal loc (Ast.Int n) Planp.Ptype.Tint)
+  | Value.Vbool b -> Some (typed_literal loc (Ast.Bool b) Planp.Ptype.Tbool)
+  | Value.Vstring s -> Some (typed_literal loc (Ast.String s) Planp.Ptype.Tstring)
+  | Value.Vchar c -> Some (typed_literal loc (Ast.Char c) Planp.Ptype.Tchar)
+  | Value.Vunit -> Some (typed_literal loc Ast.Unit Planp.Ptype.Tunit)
+  | Value.Vhost h -> Some (typed_literal loc (Ast.Host h) Planp.Ptype.Thost)
   | Value.Vblob _ | Value.Vip _ | Value.Vtcp _ | Value.Vudp _ | Value.Vtuple _
   | Value.Vtable _ ->
       None
@@ -77,8 +80,11 @@ let fold_binop loc op (a : Value.t) (b : Value.t) =
 (* [env] maps names to [Some literal] when statically known, [None] when a
    binding shadows an outer literal with an unknown value (poisoning, so an
    inner shadow can never leak the outer literal). *)
+(* A rewritten node keeps the type of the node it replaces, so the JIT
+   reads the checker's types off the folded program too. *)
 let rec fold env (expr : Ast.expr) : Ast.expr =
   let loc = expr.Ast.loc in
+  let rebuilt desc = { expr with Ast.desc } in
   match expr.Ast.desc with
   | Ast.Int _ | Ast.Bool _ | Ast.String _ | Ast.Char _ | Ast.Unit | Ast.Host _
   | Ast.Raise _ ->
@@ -92,8 +98,8 @@ let rec fold env (expr : Ast.expr) : Ast.expr =
       | Some None | None -> expr)
   | Ast.Call (name, args) -> (
       let args = List.map (fold env) args in
-      let rebuilt = Ast.mk loc (Ast.Call (name, args)) in
-      if not (foldable_prim name) then rebuilt
+      let call = rebuilt (Ast.Call (name, args)) in
+      if not (foldable_prim name) then call
       else
         match
           List.fold_right
@@ -111,11 +117,11 @@ let rec fold env (expr : Ast.expr) : Ast.expr =
                 | value -> (
                     match expr_of_literal loc value with
                     | Some literal -> literal
-                    | None -> rebuilt)
-                | exception _ -> rebuilt)
-            | None -> rebuilt)
-        | None -> rebuilt)
-  | Ast.Tuple components -> Ast.mk loc (Ast.Tuple (List.map (fold env) components))
+                    | None -> call)
+                | exception _ -> call)
+            | None -> call)
+        | None -> call)
+  | Ast.Tuple components -> rebuilt (Ast.Tuple (List.map (fold env) components))
   | Ast.Proj (index, operand) -> (
       let operand = fold env operand in
       match operand.Ast.desc with
@@ -134,8 +140,8 @@ let rec fold env (expr : Ast.expr) : Ast.expr =
                 | _ -> false)
               components
           in
-          if others_pure then kept else Ast.mk loc (Ast.Proj (index, operand))
-      | _ -> Ast.mk loc (Ast.Proj (index, operand)))
+          if others_pure then kept else rebuilt (Ast.Proj (index, operand))
+      | _ -> rebuilt (Ast.Proj (index, operand)))
   | Ast.Let (bindings, body) -> (
       let env, bindings =
         List.fold_left
@@ -156,57 +162,57 @@ let rec fold env (expr : Ast.expr) : Ast.expr =
       let body = fold env body in
       match live with
       | [] -> body
-      | _ -> Ast.mk loc (Ast.Let (live, body)))
+      | _ -> rebuilt (Ast.Let (live, body)))
   | Ast.If (cond, then_branch, else_branch) -> (
       let cond = fold env cond in
       match cond.Ast.desc with
       | Ast.Bool true -> fold env then_branch
       | Ast.Bool false -> fold env else_branch
       | _ ->
-          Ast.mk loc (Ast.If (cond, fold env then_branch, fold env else_branch)))
+          rebuilt (Ast.If (cond, fold env then_branch, fold env else_branch)))
   | Ast.Binop (Ast.And, left, right) -> (
       let left = fold env left in
       match left.Ast.desc with
       | Ast.Bool true -> fold env right
-      | Ast.Bool false -> Ast.mk loc (Ast.Bool false)
-      | _ -> Ast.mk loc (Ast.Binop (Ast.And, left, fold env right)))
+      | Ast.Bool false -> Option.get (expr_of_literal loc Value.vfalse)
+      | _ -> rebuilt (Ast.Binop (Ast.And, left, fold env right)))
   | Ast.Binop (Ast.Or, left, right) -> (
       let left = fold env left in
       match left.Ast.desc with
       | Ast.Bool false -> fold env right
-      | Ast.Bool true -> Ast.mk loc (Ast.Bool true)
-      | _ -> Ast.mk loc (Ast.Binop (Ast.Or, left, fold env right)))
+      | Ast.Bool true -> Option.get (expr_of_literal loc Value.vtrue)
+      | _ -> rebuilt (Ast.Binop (Ast.Or, left, fold env right)))
   | Ast.Binop (op, left, right) -> (
       let left = fold env left and right = fold env right in
       match (literal_of left, literal_of right) with
       | Some a, Some b -> (
           match fold_binop loc op a b with
           | Some folded -> folded
-          | None -> Ast.mk loc (Ast.Binop (op, left, right)))
-      | _ -> Ast.mk loc (Ast.Binop (op, left, right)))
+          | None -> rebuilt (Ast.Binop (op, left, right)))
+      | _ -> rebuilt (Ast.Binop (op, left, right)))
   | Ast.Unop (Ast.Not, operand) -> (
       let operand = fold env operand in
       match operand.Ast.desc with
-      | Ast.Bool b -> Ast.mk loc (Ast.Bool (not b))
-      | _ -> Ast.mk loc (Ast.Unop (Ast.Not, operand)))
+      | Ast.Bool b -> Option.get (expr_of_literal loc (Value.vbool (not b)))
+      | _ -> rebuilt (Ast.Unop (Ast.Not, operand)))
   | Ast.Unop (Ast.Neg, operand) -> (
       let operand = fold env operand in
       match operand.Ast.desc with
-      | Ast.Int n -> Ast.mk loc (Ast.Int (-n))
-      | _ -> Ast.mk loc (Ast.Unop (Ast.Neg, operand)))
+      | Ast.Int n -> Option.get (expr_of_literal loc (Value.Vint (-n)))
+      | _ -> rebuilt (Ast.Unop (Ast.Neg, operand)))
   | Ast.Seq (left, right) -> (
       let left = fold env left in
       let right = fold env right in
       (* A literal left side is effect-free: drop it. *)
       match literal_of left with
       | Some _ -> right
-      | None -> Ast.mk loc (Ast.Seq (left, right)))
+      | None -> rebuilt (Ast.Seq (left, right)))
   | Ast.On_remote (chan, packet) ->
-      Ast.mk loc (Ast.On_remote (chan, fold env packet))
+      rebuilt (Ast.On_remote (chan, fold env packet))
   | Ast.On_neighbor (chan, packet) ->
-      Ast.mk loc (Ast.On_neighbor (chan, fold env packet))
+      rebuilt (Ast.On_neighbor (chan, fold env packet))
   | Ast.Try (body, handlers) ->
-      Ast.mk loc
+      rebuilt
         (Ast.Try
            ( fold env body,
              List.map (fun (name, handler) -> (name, fold env handler)) handlers ))

@@ -16,7 +16,10 @@
 
     Folding preserves semantics for verified programs; the [jit] backend
     applies it before specialization, and the ablation benchmark
-    quantifies what it buys. *)
+    quantifies what it buys. A rewritten node keeps the type the checker
+    wrote into the node it replaces (a folded literal gets its literal's
+    type), so the specializer reads types off the folded program without
+    checking it again. *)
 
 (** [expr ~globals e] folds one expression. [globals] supplies literal
     values for free variables. *)
@@ -31,6 +34,9 @@ val program :
   Planp.Typecheck.checked ->
   globals:(string * Planp_runtime.Value.t) list ->
   Planp.Typecheck.checked
+
+(** [literal_of e] is the value of a literal expression, or [None]. *)
+val literal_of : Planp.Ast.expr -> Planp_runtime.Value.t option
 
 (** [count_nodes e] — AST size, for measuring how much folding removed. *)
 val count_nodes : Planp.Ast.expr -> int

@@ -13,12 +13,25 @@
     - global values to embedded constants,
     - operator dispatch to specialized closures,
 
-    so none of that work remains on the per-packet path. Compiled channels
-    execute in a per-channel slot arena that is reset and reused for every
-    packet (safe because channel executions never nest and PLAN-P
-    functions cannot recurse), so steady-state execution allocates only
-    the values the program itself builds. Compilation time is what Fig. 3
-    of the paper measures. *)
+    so none of that work remains on the per-packet path.
+
+    The templates are chosen by type, read off the checker's annotations
+    ({!Planp.Ast.expr}): an [int] or [host] subexpression compiles to an
+    [rt -> int] closure and a [bool] one to [rt -> bool], and a value is
+    boxed into {!Planp_runtime.Value.t} only where it enters one (a tuple,
+    a boxed primitive argument, an emission). A binding or parameter of
+    those types, or a tuple of them used only by projection or as a table
+    key, lives unboxed unless some use would box it again. Header readers
+    and setters and the keyed table primitives run through their typed
+    entries ({!Planp_runtime.Prim.typed}); a flat table key is computed
+    straight into its int parts. An unannotated expression compiles to the
+    boxed templates, which are always correct.
+
+    Compiled channels execute in a per-channel slot arena that is reset
+    and reused for every packet (safe because channel executions never
+    nest and PLAN-P functions cannot recurse), so steady-state execution
+    allocates only the values the program itself builds. Compilation time
+    is what Fig. 3 of the paper measures. *)
 
 (** Compiled code: evaluates in a frame of slot-resolved locals. *)
 type code

@@ -89,24 +89,20 @@ let rec eval ctx env (expr : Ast.expr) =
   | Ast.Binop (Ast.Or, left, right) ->
       if Value.as_bool (eval ctx env left) then Value.vtrue
       else eval ctx env right
-  | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod) as op), l, r)
-    ->
-      arith op (eval ctx env l) (eval ctx env r)
-  | Ast.Binop (Ast.Eq, l, r) ->
-      Value.vbool (Value.equal (eval ctx env l) (eval ctx env r))
-  | Ast.Binop (Ast.Ne, l, r) ->
-      Value.vbool (not (Value.equal (eval ctx env l) (eval ctx env r)))
-  | Ast.Binop (Ast.Lt, l, r) ->
-      Value.vbool (Value.compare_values (eval ctx env l) (eval ctx env r) < 0)
-  | Ast.Binop (Ast.Gt, l, r) ->
-      Value.vbool (Value.compare_values (eval ctx env l) (eval ctx env r) > 0)
-  | Ast.Binop (Ast.Le, l, r) ->
-      Value.vbool (Value.compare_values (eval ctx env l) (eval ctx env r) <= 0)
-  | Ast.Binop (Ast.Ge, l, r) ->
-      Value.vbool (Value.compare_values (eval ctx env l) (eval ctx env r) >= 0)
-  | Ast.Binop (Ast.Concat, l, r) ->
-      Value.Vstring
-        (Value.as_string (eval ctx env l) ^ Value.as_string (eval ctx env r))
+  | Ast.Binop (op, l, r) -> (
+      (* Operands evaluate left to right, as in every backend. *)
+      let a = eval ctx env l in
+      let b = eval ctx env r in
+      match op with
+      | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod -> arith op a b
+      | Ast.Eq -> Value.vbool (Value.equal a b)
+      | Ast.Ne -> Value.vbool (not (Value.equal a b))
+      | Ast.Lt -> Value.vbool (Value.compare_values a b < 0)
+      | Ast.Gt -> Value.vbool (Value.compare_values a b > 0)
+      | Ast.Le -> Value.vbool (Value.compare_values a b <= 0)
+      | Ast.Ge -> Value.vbool (Value.compare_values a b >= 0)
+      | Ast.Concat -> Value.Vstring (Value.as_string a ^ Value.as_string b)
+      | Ast.And | Ast.Or -> assert false (* short-circuit: matched above *))
   | Ast.Unop (Ast.Not, operand) ->
       Value.vbool (not (Value.as_bool (eval ctx env operand)))
   | Ast.Unop (Ast.Neg, operand) ->

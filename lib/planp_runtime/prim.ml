@@ -1,10 +1,21 @@
 type impl = World.t -> Value.t array -> Value.t
 
+type typed =
+  | Boxed
+  | Read_int of (Value.t -> int)
+  | Read_bool of (Value.t -> bool)
+  | With_int of (Value.t -> int -> Value.t)
+  | Key_get of (Value.t -> int array -> Value.t -> Value.t)
+  | Key_mem of (Value.t -> int array -> bool)
+  | Key_set of (Value.t -> int array -> Value.t -> unit)
+  | Key_remove of (Value.t -> int array -> unit)
+
 type prim = {
   prim_name : string;
   type_fn : Planp.Prim_sig.type_fn;
   impl : impl;
   pure : bool;
+  typed : typed;
 }
 
 let check_arity n args =
@@ -25,6 +36,7 @@ let pure prim_name expected result impl =
         check_arity arity args;
         impl args);
     pure = true;
+    typed = Boxed;
   }
 
 let impure prim_name expected result impl =
@@ -37,7 +49,10 @@ let impure prim_name expected result impl =
         check_arity arity args;
         impl world args);
     pure = false;
+    typed = Boxed;
   }
+
+let with_typed typed prim = { prim with typed }
 
 let registry : (string, prim) Hashtbl.t = Hashtbl.create 64
 let register prim = Hashtbl.replace registry prim.prim_name prim

@@ -9,51 +9,51 @@ let deliver_type_fn = function
   | [ ty ] -> Error (Printf.sprintf "expected a packet tuple, got %s" (Ptype.to_string ty))
   | args -> Error (Printf.sprintf "expected 1 argument, got %d" (List.length args))
 
+(* Header readers and setters register their unboxed entry next to the
+   boxed one; the boxed one is the unboxed one plus the boxing. *)
+let int_reader name header result read =
+  let box = if Ptype.equal result Ptype.Thost then (fun n -> Value.Vhost n) else (fun n -> Value.Vint n) in
+  Prim.with_typed (Prim.Read_int read)
+    (pure name [ header ] result (fun args -> box (read args.(0))))
+
+let bool_reader name read =
+  Prim.with_typed (Prim.Read_bool read)
+    (pure name [ Ptype.Ttcp ] Ptype.Tbool (fun args ->
+         Value.vbool (read args.(0))))
+
+let setter name header field set =
+  let unbox = if Ptype.equal field Ptype.Thost then Value.as_host else Value.as_int in
+  Prim.with_typed (Prim.With_int set)
+    (pure name [ header; field ] header (fun args ->
+         set args.(0) (unbox args.(1))))
+
 let install () =
   List.iter Prim.register
     [
-      pure "ipSrc" [ Ptype.Tip ] Ptype.Thost (fun args ->
-          Value.Vhost (Value.as_ip args.(0)).Value.vsrc);
-      pure "ipDst" [ Ptype.Tip ] Ptype.Thost (fun args ->
-          Value.Vhost (Value.as_ip args.(0)).Value.vdst);
-      pure "ipTtl" [ Ptype.Tip ] Ptype.Tint (fun args ->
-          Value.Vint (Value.as_ip args.(0)).Value.vttl);
-      pure "ipSrcSet" [ Ptype.Tip; Ptype.Thost ] Ptype.Tip (fun args ->
-          Value.Vip
-            { (Value.as_ip args.(0)) with Value.vsrc = Value.as_host args.(1) });
-      pure "ipDestSet" [ Ptype.Tip; Ptype.Thost ] Ptype.Tip (fun args ->
-          Value.Vip
-            { (Value.as_ip args.(0)) with Value.vdst = Value.as_host args.(1) });
-      pure "tcpSrc" [ Ptype.Ttcp ] Ptype.Tint (fun args ->
-          Value.Vint (Value.as_tcp args.(0)).Packet.tcp_src);
-      pure "tcpDst" [ Ptype.Ttcp ] Ptype.Tint (fun args ->
-          Value.Vint (Value.as_tcp args.(0)).Packet.tcp_dst);
-      pure "tcpSeq" [ Ptype.Ttcp ] Ptype.Tint (fun args ->
-          Value.Vint (Value.as_tcp args.(0)).Packet.tcp_seq);
-      pure "tcpAck" [ Ptype.Ttcp ] Ptype.Tint (fun args ->
-          Value.Vint (Value.as_tcp args.(0)).Packet.tcp_ack);
-      pure "tcpSyn" [ Ptype.Ttcp ] Ptype.Tbool (fun args ->
-          Value.vbool (Value.as_tcp args.(0)).Packet.tcp_syn);
-      pure "tcpFin" [ Ptype.Ttcp ] Ptype.Tbool (fun args ->
-          Value.vbool (Value.as_tcp args.(0)).Packet.tcp_fin);
-      pure "tcpIsAck" [ Ptype.Ttcp ] Ptype.Tbool (fun args ->
-          Value.vbool (Value.as_tcp args.(0)).Packet.tcp_is_ack);
-      pure "tcpSrcSet" [ Ptype.Ttcp; Ptype.Tint ] Ptype.Ttcp (fun args ->
-          let port = Value.as_int args.(1) in
-          Value.Vtcp { (Value.as_tcp args.(0)) with Packet.tcp_src = port });
-      pure "tcpDstSet" [ Ptype.Ttcp; Ptype.Tint ] Ptype.Ttcp (fun args ->
-          let port = Value.as_int args.(1) in
-          Value.Vtcp { (Value.as_tcp args.(0)) with Packet.tcp_dst = port });
-      pure "udpSrc" [ Ptype.Tudp ] Ptype.Tint (fun args ->
-          Value.Vint (Value.as_udp args.(0)).Packet.udp_src);
-      pure "udpDst" [ Ptype.Tudp ] Ptype.Tint (fun args ->
-          Value.Vint (Value.as_udp args.(0)).Packet.udp_dst);
-      pure "udpSrcSet" [ Ptype.Tudp; Ptype.Tint ] Ptype.Tudp (fun args ->
-          let port = Value.as_int args.(1) in
-          Value.Vudp { (Value.as_udp args.(0)) with Packet.udp_src = port });
-      pure "udpDstSet" [ Ptype.Tudp; Ptype.Tint ] Ptype.Tudp (fun args ->
-          let port = Value.as_int args.(1) in
-          Value.Vudp { (Value.as_udp args.(0)) with Packet.udp_dst = port });
+      int_reader "ipSrc" Ptype.Tip Ptype.Thost (fun v -> (Value.as_ip v).Value.vsrc);
+      int_reader "ipDst" Ptype.Tip Ptype.Thost (fun v -> (Value.as_ip v).Value.vdst);
+      int_reader "ipTtl" Ptype.Tip Ptype.Tint (fun v -> (Value.as_ip v).Value.vttl);
+      setter "ipSrcSet" Ptype.Tip Ptype.Thost (fun v h ->
+          Value.Vip { (Value.as_ip v) with Value.vsrc = h });
+      setter "ipDestSet" Ptype.Tip Ptype.Thost (fun v h ->
+          Value.Vip { (Value.as_ip v) with Value.vdst = h });
+      int_reader "tcpSrc" Ptype.Ttcp Ptype.Tint (fun v -> (Value.as_tcp v).Packet.tcp_src);
+      int_reader "tcpDst" Ptype.Ttcp Ptype.Tint (fun v -> (Value.as_tcp v).Packet.tcp_dst);
+      int_reader "tcpSeq" Ptype.Ttcp Ptype.Tint (fun v -> (Value.as_tcp v).Packet.tcp_seq);
+      int_reader "tcpAck" Ptype.Ttcp Ptype.Tint (fun v -> (Value.as_tcp v).Packet.tcp_ack);
+      bool_reader "tcpSyn" (fun v -> (Value.as_tcp v).Packet.tcp_syn);
+      bool_reader "tcpFin" (fun v -> (Value.as_tcp v).Packet.tcp_fin);
+      bool_reader "tcpIsAck" (fun v -> (Value.as_tcp v).Packet.tcp_is_ack);
+      setter "tcpSrcSet" Ptype.Ttcp Ptype.Tint (fun v port ->
+          Value.Vtcp { (Value.as_tcp v) with Packet.tcp_src = port });
+      setter "tcpDstSet" Ptype.Ttcp Ptype.Tint (fun v port ->
+          Value.Vtcp { (Value.as_tcp v) with Packet.tcp_dst = port });
+      int_reader "udpSrc" Ptype.Tudp Ptype.Tint (fun v -> (Value.as_udp v).Packet.udp_src);
+      int_reader "udpDst" Ptype.Tudp Ptype.Tint (fun v -> (Value.as_udp v).Packet.udp_dst);
+      setter "udpSrcSet" Ptype.Tudp Ptype.Tint (fun v port ->
+          Value.Vudp { (Value.as_udp v) with Packet.udp_src = port });
+      setter "udpDstSet" Ptype.Tudp Ptype.Tint (fun v port ->
+          Value.Vudp { (Value.as_udp v) with Packet.udp_dst = port });
       pure "mkUdp" [ Ptype.Tint; Ptype.Tint ] Ptype.Tudp (fun args ->
           Value.Vudp
             {
@@ -77,5 +77,6 @@ let install () =
             world.World.deliver args.(0);
             Value.Vunit);
         pure = false;
+        typed = Prim.Boxed;
       };
     ]

@@ -78,78 +78,56 @@ let mk_type_fn = function
   | [ other ] -> Error (Printf.sprintf "expected int size, got %s" (Ptype.to_string other))
   | args -> Error (Printf.sprintf "expected 1 argument, got %d" (List.length args))
 
+let table_prim prim_name type_fn typed impl =
+  { Prim.prim_name; type_fn; impl = (fun _world args -> impl args); pure = true; typed }
+
 let install () =
+  let module T = Value.Table in
   List.iter Prim.register
     [
-      {
-        Prim.prim_name = "mkTable";
-        type_fn = mk_type_fn;
-        impl =
-          (fun _world args ->
-            Prim.check_arity 1 args;
-            Value.Vtable (Hashtbl.create (Int.max 1 (Value.as_int args.(0)))));
-        pure = true;
-      };
-      {
-        Prim.prim_name = "tblGet";
-        type_fn = get_type_fn;
-        impl =
-          (fun _world args ->
-            Prim.check_arity 3 args;
-            match Hashtbl.find_opt (Value.as_table args.(0)) args.(1) with
-            | Some value -> value
-            | None -> args.(2));
-        pure = true;
-      };
-      {
-        Prim.prim_name = "tblSet";
-        type_fn = set_type_fn;
-        impl =
-          (fun _world args ->
-            Prim.check_arity 3 args;
-            Hashtbl.replace (Value.as_table args.(0)) args.(1) args.(2);
-            bump_generation ();
-            Value.Vunit);
-        pure = true;
-      };
-      {
-        Prim.prim_name = "tblMem";
-        type_fn = key_only_type_fn Ptype.Tbool;
-        impl =
-          (fun _world args ->
-            Prim.check_arity 2 args;
-            Value.vbool (Hashtbl.mem (Value.as_table args.(0)) args.(1)));
-        pure = true;
-      };
-      {
-        Prim.prim_name = "tblRemove";
-        type_fn = key_only_type_fn Ptype.Tunit;
-        impl =
-          (fun _world args ->
-            Prim.check_arity 2 args;
-            Hashtbl.remove (Value.as_table args.(0)) args.(1);
-            bump_generation ();
-            Value.Vunit);
-        pure = true;
-      };
-      {
-        Prim.prim_name = "tblSize";
-        type_fn = table_only_type_fn Ptype.Tint;
-        impl =
-          (fun _world args ->
-            Prim.check_arity 1 args;
-            Value.Vint (Hashtbl.length (Value.as_table args.(0))));
-        pure = true;
-      };
-      {
-        Prim.prim_name = "tblClear";
-        type_fn = table_only_type_fn Ptype.Tunit;
-        impl =
-          (fun _world args ->
-            Prim.check_arity 1 args;
-            Hashtbl.reset (Value.as_table args.(0));
-            bump_generation ();
-            Value.Vunit);
-        pure = true;
-      };
+      table_prim "mkTable" mk_type_fn Prim.Boxed (fun args ->
+          Prim.check_arity 1 args;
+          Value.Vtable (T.create (Value.as_int args.(0))));
+      table_prim "tblGet" get_type_fn
+        (Prim.Key_get
+           (fun table parts default ->
+             T.get_parts (Value.as_table table) parts ~default))
+        (fun args ->
+          Prim.check_arity 3 args;
+          T.get (Value.as_table args.(0)) args.(1) ~default:args.(2));
+      table_prim "tblSet" set_type_fn
+        (Prim.Key_set
+           (fun table parts value ->
+             T.set_parts (Value.as_table table) parts value;
+             bump_generation ()))
+        (fun args ->
+          Prim.check_arity 3 args;
+          T.set (Value.as_table args.(0)) args.(1) args.(2);
+          bump_generation ();
+          Value.Vunit);
+      table_prim "tblMem" (key_only_type_fn Ptype.Tbool)
+        (Prim.Key_mem (fun table parts -> T.mem_parts (Value.as_table table) parts))
+        (fun args ->
+          Prim.check_arity 2 args;
+          Value.vbool (T.mem (Value.as_table args.(0)) args.(1)));
+      table_prim "tblRemove" (key_only_type_fn Ptype.Tunit)
+        (Prim.Key_remove
+           (fun table parts ->
+             T.remove_parts (Value.as_table table) parts;
+             bump_generation ()))
+        (fun args ->
+          Prim.check_arity 2 args;
+          T.remove (Value.as_table args.(0)) args.(1);
+          bump_generation ();
+          Value.Vunit);
+      table_prim "tblSize" (table_only_type_fn Ptype.Tint)
+        (Prim.Read_int (fun table -> T.length (Value.as_table table)))
+        (fun args ->
+          Prim.check_arity 1 args;
+          Value.Vint (T.length (Value.as_table args.(0))));
+      table_prim "tblClear" (table_only_type_fn Ptype.Tunit) Prim.Boxed (fun args ->
+          Prim.check_arity 1 args;
+          T.clear (Value.as_table args.(0));
+          bump_generation ();
+          Value.Vunit);
     ]

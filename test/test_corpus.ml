@@ -172,9 +172,13 @@ let hop_recorder_behaviour () =
       match Runtime.channel_state program "network" 0 with
       | Some (Value.Vtable table) ->
           checkb (name ^ ": ttl 64 seen twice") true
-            (Value.equal (Hashtbl.find table (Value.Vint 64)) (Value.Vint 2));
+            (Value.equal
+               (Value.Table.get table (Value.Vint 64) ~default:Value.Vunit)
+               (Value.Vint 2));
           checkb (name ^ ": ttl 32 seen once") true
-            (Value.equal (Hashtbl.find table (Value.Vint 32)) (Value.Vint 1))
+            (Value.equal
+               (Value.Table.get table (Value.Vint 32) ~default:Value.Vunit)
+               (Value.Vint 1))
       | _ -> Alcotest.fail "table state expected")
     (runtimes_for (read "hop_recorder.planp"))
 

@@ -110,7 +110,7 @@ let channel_tri_run source packet =
             let world, prints, emissions = World.dummy () in
             let ss =
               match chan.Planp.Ast.initstate with
-              | Some _ -> Value.Vtable (Hashtbl.create 8)
+              | Some _ -> Value.Vtable (Value.Table.create 8)
               | None -> Value.default_of chan.Planp.Ast.ss_type
             in
             let ps', _ss' = exec world ~ps:(Value.Vint 0) ~ss ~pkt in

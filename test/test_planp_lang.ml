@@ -251,6 +251,35 @@ let tc_type_mismatches () =
   rejects ~substring:"condition" "val x : int = if 1 then 2 else 3";
   rejects ~substring:"branches" "val x : int = if true then 2 else \"s\""
 
+(* A hash table is keyed by [=]: a key type without equality was once
+   accepted, and a blob key then matched by the payload's representation
+   (flat, sub-view or rope), not by its bytes. Every annotation site now
+   rejects it, naming the key type. *)
+let tc_table_key_equality () =
+  rejects ~substring:"hash_table key type blob"
+    "channel network(ps : int, ss : (blob, int) hash_table, p : ip*tcp*blob)\n\
+     initstate mkTable(4) is\n\
+     (if tblMem(ss, #3 p) then print(\"seen \") else print(\"new \");\n\
+     \ tblSet(ss, #3 p, 1); (ps, ss))";
+  rejects ~substring:"hash_table key type ip"
+    (simple_channel
+       "let val t : (ip, int) hash_table = mkTable(4) in (ps, ss) end");
+  rejects ~substring:"hash_table key type tcp"
+    "fun f(t : (tcp, int) hash_table) : int = 1";
+  rejects ~substring:"hash_table key type (int, int) hash_table"
+    "fun f(n : int) : ((int, int) hash_table, bool) hash_table = mkTable(n)";
+  rejects ~substring:"hash_table key type int*blob"
+    "val t : (int, (int*blob, int) hash_table) hash_table = mkTable(2)";
+  rejects ~substring:"hash_table key type blob"
+    "protostate (blob, int) hash_table = mkTable(4)\n\
+     channel network(ps : (blob, int) hash_table, ss : int, p : ip*tcp*blob) is\n\
+     (OnRemote(network, p); (ps, ss))";
+  accepts
+    "channel network(ps : int, ss : ((host*int), int) hash_table, p : ip*tcp*blob)\n\
+     initstate mkTable(4) is\n\
+     (tblSet(ss, (ipSrc(#1 p), tcpSrc(#2 p)), 1); (ps, ss))";
+  accepts "val t : (string*int, blob) hash_table = mkTable(2)"
+
 let tc_sequences () =
   rejects ~substring:"discards" (simple_channel "(1 + 1; (ps, ss))");
   accepts (simple_channel "(print(\"x\"); OnRemote(network, p); (ps, ss))")
@@ -417,5 +446,6 @@ let () =
           Alcotest.test_case "table typing" `Quick tc_table_typing;
           Alcotest.test_case "paper Fig. 2 fragment" `Quick tc_paper_fragment;
           Alcotest.test_case "line count" `Quick tc_line_count;
+          Alcotest.test_case "table keys need equality" `Quick tc_table_key_equality;
         ] );
     ]

@@ -30,7 +30,7 @@ let value_equal () =
        (Value.Vtuple [| Value.Vint 1; Value.Vstring "a" |]));
   checkb "different constructors" false
     (Value.equal (Value.Vint 1) (Value.Vbool true));
-  let t1 = Hashtbl.create 1 and t2 = Hashtbl.create 1 in
+  let t1 = Value.Table.create 1 and t2 = Value.Table.create 1 in
   checkb "tables by identity" false (Value.equal (Value.Vtable t1) (Value.Vtable t2));
   checkb "same table" true (Value.equal (Value.Vtable t1) (Value.Vtable t1))
 

@@ -15,6 +15,14 @@ module Audio_frame = Planp_runtime.Audio_frame
 
 let () = Planp_runtime.Prims.install ()
 
+(* The generated-program properties run [prop_scale] times their default
+   case count when PLANP_PROP_SCALE is set (CI's release job sets 10), so
+   a local [dune runtest] stays fast. *)
+let prop_scale =
+  match Option.bind (Sys.getenv_opt "PLANP_PROP_SCALE") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
 (* ---------- simple invariants ---------- *)
 
 let addr_roundtrip =
@@ -388,6 +396,13 @@ let expr_arbitrary =
 
 let eval_three expr =
   let world, _, _ = World.dummy () in
+  (* Annotate the expression with its types, so the JIT picks its typed
+     templates as it does for checked programs. *)
+  (match
+     Planp.Typecheck.check_expr ~prims:Planp_runtime.Prim.type_lookup ~vals:[] expr
+   with
+  | Ok _ -> ()
+  | Error e -> failwith (Format.asprintf "%a" Planp.Typecheck.pp_error e));
   let reference =
     try Ok (Interp.eval_const ~world ~globals:[] expr)
     with Value.Planp_raise e -> Error e
@@ -418,7 +433,7 @@ let result_equal a b =
 let backends_differential =
   Q.Test.make
     ~name:"backends: interpreter, JIT and VM agree on generated expressions"
-    ~count:500 expr_arbitrary
+    ~count:(500 * prop_scale) expr_arbitrary
     (fun expr ->
       let reference, jit, vm = eval_three expr in
       result_equal reference jit && result_equal reference vm)
@@ -426,7 +441,7 @@ let backends_differential =
 let fold_differential =
   Q.Test.make
     ~name:"fold: constant folding preserves evaluation and never grows the AST"
-    ~count:500 expr_arbitrary
+    ~count:(500 * prop_scale) expr_arbitrary
     (fun expr ->
       let reference, _, _ = eval_three expr in
       let folded_result, folded = eval_folded expr in
@@ -454,6 +469,572 @@ let reparsed_evaluates_same =
         with Value.Planp_raise exn_name -> Error exn_name
       in
       result_equal (run expr) (run reparsed))
+
+(* ---------- whole programs: every backend on generated channels ---------- *)
+
+(* The generator writes PLAN-P source. Its types: the values an
+   expression can have, plus the header variables a channel binds. *)
+type gty = Gint | Gbool | Ghost | Gchar | Gstr | Gtuple of gty list | Gip | Gudp | Gtcp
+
+let rec gty_source = function
+  | Gint -> "int"
+  | Gbool -> "bool"
+  | Ghost -> "host"
+  | Gchar -> "char"
+  | Gstr -> "string"
+  | Gtuple tys -> "(" ^ String.concat "*" (List.map gty_source tys) ^ ")"
+  | Gip -> "ip"
+  | Gudp -> "udp"
+  | Gtcp -> "tcp"
+
+(* A reachable table: a global, or the channel state [ss]. *)
+type gtable = { tname : string; tkey : gty list; tvalue : gty }
+
+let global_tables =
+  [
+    { tname = "tInt"; tkey = [ Gint ]; tvalue = Gint };
+    { tname = "tHost"; tkey = [ Ghost ]; tvalue = Gbool };
+    { tname = "tFlat"; tkey = [ Gint; Gbool; Gchar ]; tvalue = Gstr };
+    { tname = "tStr"; tkey = [ Gstr; Gint ]; tvalue = Gint };
+  ]
+
+type genv = {
+  vars : (string * gty) list;
+  tables : gtable list;
+  funs : (string * gty list * gty) list;  (* name, parameters, result *)
+  fresh : int ref;
+}
+
+let rec gen_expr env ty depth : string Q.Gen.t =
+  let open Q.Gen in
+  let vars_of ty = List.filter (fun (_, t) -> t = ty) env.vars in
+  (* [#i v] for a tuple variable with a component of type [ty]. *)
+  let projections =
+    List.concat_map
+      (fun (name, t) ->
+        match t with
+        | Gtuple tys ->
+            List.concat
+              (List.mapi
+                 (fun i c -> if c = ty then [ Printf.sprintf "#%d %s" (i + 1) name ] else [])
+                 tys)
+        | _ -> [])
+      env.vars
+  in
+  let has ty = List.exists (fun (_, t) -> t = ty) env.vars in
+  let sub ty = gen_expr env ty (depth - 1) in
+  let literal =
+    match ty with
+    | Gint -> map string_of_int (int_range (-3) 40)
+    | Gbool -> map string_of_bool bool
+    | Ghost -> map (Printf.sprintf "10.0.0.%d") (int_range 1 6)
+    | Gchar -> map (Printf.sprintf "'%c'") (char_range 'a' 'e')
+    | Gstr -> oneofl [ "\"\""; "\"a\""; "\"bc\""; "\"abc\"" ]
+    | Gtuple _ | Gip | Gudp | Gtcp -> assert false
+  in
+  let leaves =
+    (2, literal)
+    :: (if vars_of ty = [] then [] else [ (4, map fst (oneofl (vars_of ty))) ])
+    @ if projections = [] then [] else [ (2, oneofl projections) ]
+  in
+  if depth <= 0 then frequency leaves
+  else
+    let tables_with value = List.filter (fun t -> t.tvalue = value) env.tables in
+    let calls =
+      List.filter_map
+        (fun (name, params, result) ->
+          let arguments = flatten_l (List.map sub params) in
+          let call = map (fun args -> Printf.sprintf "%s(%s)" name (String.concat ", " args)) arguments in
+          match result with
+          | r when r = ty -> Some (1, call)
+          | Gtuple rs when List.mem ty rs ->
+              let i = ref 0 in
+              List.iteri (fun j r -> if r = ty && !i = 0 then i := j + 1) rs;
+              Some (1, map (Printf.sprintf "#%d %s" !i) call)
+          | _ -> None)
+        env.funs
+    in
+    let table_get =
+      match tables_with ty with
+      | [] -> []
+      | ts ->
+          [ ( 3,
+              oneofl ts >>= fun t ->
+              map2 (Printf.sprintf "tblGet(%s, %s, %s)" t.tname) (gen_key env t (depth - 1)) (sub ty) ) ]
+    in
+    let control =
+      [
+        (1, map3 (Printf.sprintf "(if %s then %s else %s)") (gen_expr env Gbool (depth - 1)) (sub ty) (sub ty));
+        ( 1,
+          oneofl [ Gint; Ghost; Gbool; Gstr ] >>= fun bty ->
+          let name = Printf.sprintf "v%d" (incr env.fresh; !(env.fresh)) in
+          map2
+            (fun bound body -> Printf.sprintf "(let val %s : %s = %s in %s end)" name (gty_source bty) bound body)
+            (gen_expr env bty (depth - 1))
+            (gen_expr { env with vars = (name, bty) :: env.vars } ty (depth - 1)) );
+      ]
+    in
+    let specific =
+      match ty with
+      | Gint ->
+          [
+            (3, map3 (Printf.sprintf "(%s %s %s)") (sub Gint) (oneofl [ "+"; "-"; "*" ]) (sub Gint));
+            (1, map3 (Printf.sprintf "(%s %s %s)") (sub Gint) (oneofl [ "/"; "mod" ]) (map string_of_int (int_range (-1) 3)));
+            (1, map2 (Printf.sprintf "(try %s handle DivByZero => %s end)") (map2 (Printf.sprintf "(%s / %s)") (sub Gint) (sub Gint)) (sub Gint));
+            (1, map (Printf.sprintf "strlen(%s)") (sub Gstr));
+            (1, map (Printf.sprintf "charPos(%s)") (sub Gchar));
+            (1, map (Printf.sprintf "hostBits(%s)") (sub Ghost));
+            (1, map2 (Printf.sprintf "min(%s, %s)") (sub Gint) (sub Gint));
+            (1, map (fun t -> Printf.sprintf "tblSize(%s)" t.tname) (oneofl env.tables));
+          ]
+          @ (if has Gudp then [ (2, oneofl [ "udpSrc(udph)"; "udpDst(udph)" ]) ] else [])
+          @ (if has Gtcp then [ (2, oneofl [ "tcpSrc(tcph)"; "tcpDst(tcph)"; "tcpSeq(tcph)"; "tcpAck(tcph)" ]) ] else [])
+          @ if has Gip then [ (1, return "ipTtl(iph)") ] else []
+      | Gbool ->
+          let compare cty ops =
+            map3 (fun a op b -> Printf.sprintf "(%s %s %s)" a op b) (gen_expr env cty (depth - 1)) (oneofl ops) (gen_expr env cty (depth - 1))
+          in
+          [
+            (3, compare Gint [ "="; "<>"; "<"; ">"; "<="; ">=" ]);
+            (1, compare Ghost [ "="; "<>" ]);
+            (1, compare Gbool [ "="; "<>" ]);
+            (1, compare Gchar [ "="; "<"; ">=" ]);
+            (1, compare Gstr [ "="; "<>"; "<" ]);
+            (2, map3 (Printf.sprintf "(%s %s %s)") (sub Gbool) (oneofl [ "andalso"; "orelse" ]) (sub Gbool));
+            (1, map (Printf.sprintf "(not %s)") (sub Gbool));
+            (1, map (Printf.sprintf "even(%s)") (sub Gint));
+            ( 3,
+              oneofl env.tables >>= fun t ->
+              map (Printf.sprintf "tblMem(%s, %s)" t.tname) (gen_key env t (depth - 1)) );
+          ]
+          @ if has Gtcp then [ (1, oneofl [ "tcpSyn(tcph)"; "tcpFin(tcph)"; "tcpIsAck(tcph)" ]) ] else []
+      | Ghost -> if has Gip then [ (3, oneofl [ "ipSrc(iph)"; "ipDst(iph)" ]) ] else []
+      | Gchar -> [ (1, map (Printf.sprintf "(try chr(%s) handle BadChar => 'z' end)") (sub Gint)) ]
+      | Gstr ->
+          [
+            (2, map (Printf.sprintf "itos(%s)") (sub Gint));
+            (1, map (Printf.sprintf "htos(%s)") (sub Ghost));
+            (1, map2 (Printf.sprintf "(%s ^ %s)") (sub Gstr) (sub Gstr));
+          ]
+      | Gtuple _ | Gip | Gudp | Gtcp -> []
+    in
+    frequency (leaves @ calls @ table_get @ control @ specific)
+
+(* A key for table [t]: a scalar expression, a tuple literal, or a
+   tuple variable of the key's type. *)
+and gen_key env t depth =
+  let open Q.Gen in
+  match t.tkey with
+  | [ k ] -> gen_expr env k depth
+  | ks ->
+      let literal =
+        map (fun es -> "(" ^ String.concat ", " es ^ ")") (flatten_l (List.map (fun k -> gen_expr env k depth) ks))
+      in
+      let vars = List.filter (fun (_, ty) -> ty = Gtuple ks) env.vars in
+      if vars = [] then literal else frequency [ (1, literal); (2, map fst (oneofl vars)) ]
+
+(* Unit-typed statements: table writes, prints, emissions, deliveries,
+   raises, and the control forms around them. *)
+let rec gen_stmt env ~packet depth : string Q.Gen.t =
+  let open Q.Gen in
+  let e ty = gen_expr env ty 2 in
+  let leaf =
+    [
+      ( 5,
+        oneofl env.tables >>= fun t ->
+        map2 (Printf.sprintf "tblSet(%s, %s, %s)" t.tname) (gen_key env t 1) (e t.tvalue) );
+      ( 2,
+        oneofl env.tables >>= fun t ->
+        map (Printf.sprintf "tblRemove(%s, %s)" t.tname) (gen_key env t 1) );
+      ( 1,
+        map2
+          (fun n t -> if n = 0 then Printf.sprintf "tblClear(%s)" t.tname else "print(\"-;\")")
+          (int_bound 6) (oneofl env.tables) );
+      (3, map (Printf.sprintf "print(%s ^ \";\")") (e Gstr));
+      (1, map (Printf.sprintf "print(itos(%s) ^ \";\")") (e Gint));
+      (1, map (Printf.sprintf "(if %s then raise Boom else ())") (e Gbool));
+    ]
+    @
+    match packet with
+    | `Udp ->
+        [
+          ( 2,
+            map2
+              (fun (h, port) (n, (b, (c, str))) ->
+                Printf.sprintf "OnRemote(network, (ipDestSet(iph, %s), udpSrcSet(udph, %s), %s, %s, %s, %s))" h port n b c str)
+              (pair (e Ghost) (e Gint))
+              (pair (e Gint) (pair (e Gbool) (pair (e Gchar) (e Gstr)))) );
+          (1, return "deliver(p)");
+        ]
+    | `Tcp ->
+        [
+          ( 2,
+            map2 (Printf.sprintf "OnRemote(network, (ipSrcSet(iph, %s), tcpDstSet(tcph, %s), #3 p))") (e Ghost) (e Gint) );
+          (1, return "deliver(p)");
+        ]
+    | `None -> []
+  in
+  if depth <= 0 then frequency leaf
+  else
+    let block = gen_block env ~packet (depth - 1) in
+    frequency
+      (leaf
+      @ [
+          (2, map3 (Printf.sprintf "(if %s then %s else %s)") (e Gbool) block block);
+          ( 1,
+            map2 (Printf.sprintf "(try %s handle DivByZero => print(\"dz;\"), Boom => %s end)")
+              block block );
+          ( 2,
+            oneofl [ Gtuple [ Ghost; Gint ]; Gtuple [ Gint; Gbool; Gchar ]; Gtuple [ Gstr; Gint ]; Gint; Ghost ] >>= fun bty ->
+            let name = Printf.sprintf "k%d" (incr env.fresh; !(env.fresh)) in
+            let bound =
+              match bty with
+              | Gtuple tys -> map (fun es -> "(" ^ String.concat ", " es ^ ")") (flatten_l (List.map e tys))
+              | ty -> e ty
+            in
+            map2
+              (Printf.sprintf "(let val %s : %s = %s in %s end)" name (gty_source bty))
+              bound
+              (gen_block { env with vars = (name, bty) :: env.vars } ~packet (depth - 1)) );
+        ])
+
+and gen_block env ~packet depth =
+  Q.Gen.(
+    map (fun stmts -> "(" ^ String.concat "; " stmts ^ ")")
+      (list_size (int_range 1 3) (gen_stmt env ~packet depth)))
+
+let gen_program =
+  let open Q.Gen in
+  let fresh = ref 0 in
+  let globals = [ ("k0", Gint); ("h0", Ghost); ("s0", Gstr) ] in
+  let base = { vars = globals; tables = global_tables; funs = []; fresh } in
+  let fun_env params funs = { base with vars = params @ globals; funs } in
+  let f1 = ("f1", [ Gint; Ghost ], Gint) in
+  let f2 = ("f2", [ Gint; Gstr ], Gbool) in
+  let f3 = ("f3", [ Gchar; Gint ], Gtuple [ Gstr; Gint ]) in
+  let* k0 = int_range 0 9 in
+  let* h0 = int_range 1 6 in
+  let* s0 = oneofl [ "a"; "xy" ] in
+  let* sizes = list_repeat 5 (int_range 1 8) in
+  let* f1_body = gen_expr (fun_env [ ("a", Gint); ("b", Ghost) ] []) Gint 3 in
+  let* f2_body = gen_expr (fun_env [ ("x", Gint); ("s", Gstr) ] [ f1 ]) Gbool 3 in
+  let* f3_str = gen_expr (fun_env [ ("c", Gchar); ("k", Gint) ] [ f1; f2 ]) Gstr 2 in
+  let* f3_int = gen_expr (fun_env [ ("c", Gchar); ("k", Gint) ] [ f1; f2 ]) Gint 2 in
+  let funs = [ f1; f2; f3 ] in
+  let udp_env =
+    {
+      base with
+      vars =
+        [ ("iph", Gip); ("udph", Gudp); ("n", Gint); ("flag", Gbool); ("c", Gchar); ("str", Gstr);
+          ("count", Gint); ("tag", Gstr) ]
+        @ globals;
+      tables = { tname = "ss"; tkey = [ Ghost; Gint ]; tvalue = Gint } :: global_tables;
+      funs;
+    }
+  in
+  let tcp_env =
+    {
+      base with
+      vars = [ ("iph", Gip); ("tcph", Gtcp); ("count", Gint); ("tag", Gstr) ] @ globals;
+      tables = { tname = "ss"; tkey = [ Gstr ]; tvalue = Gint } :: global_tables;
+      funs;
+    }
+  in
+  let* udp_body = list_size (int_range 2 6) (gen_stmt udp_env ~packet:`Udp 2) in
+  let* udp_count = gen_expr udp_env Gint 2 in
+  let* udp_tag = gen_expr udp_env Gstr 1 in
+  let* tcp_body = list_size (int_range 1 4) (gen_stmt tcp_env ~packet:`Tcp 2) in
+  let* tcp_count = gen_expr tcp_env Gint 2 in
+  return
+    (Printf.sprintf
+       {|exception Boom
+val k0 : int = %d
+val h0 : host = 10.0.0.%d
+val s0 : string = "%s"
+val tInt : (int, int) hash_table = mkTable(%d)
+val tHost : (host, bool) hash_table = mkTable(%d)
+val tFlat : (int*bool*char, string) hash_table = mkTable(%d)
+val tStr : (string*int, int) hash_table = mkTable(%d)
+
+fun f1(a : int, b : host) : int = %s
+fun f2(x : int, s : string) : bool = %s
+fun f3(c : char, k : int) : string*int = (%s, %s)
+
+protostate int*string = (0, "")
+
+channel network(ps : int*string, ss : ((host*int), int) hash_table,
+                p : ip*udp*int*bool*char*string)
+initstate mkTable(%d) is
+  let
+    val iph : ip = #1 p
+    val udph : udp = #2 p
+    val n : int = #3 p
+    val flag : bool = #4 p
+    val c : char = #5 p
+    val str : string = #6 p
+    val count : int = #1 ps
+    val tag : string = #2 ps
+  in
+    (%s;
+     ((%s, %s), ss))
+  end
+
+channel network(ps : int*string, ss : (string, int) hash_table, p : ip*tcp*blob)
+initstate mkTable(2) is
+  let
+    val iph : ip = #1 p
+    val tcph : tcp = #2 p
+    val count : int = #1 ps
+    val tag : string = #2 ps
+  in
+    (%s;
+     ((%s, tag), ss))
+  end
+|}
+       k0 h0 s0 (List.nth sizes 0) (List.nth sizes 1) (List.nth sizes 2) (List.nth sizes 3)
+       f1_body f2_body f3_str f3_int (List.nth sizes 4)
+       (String.concat ";\n     " udp_body) udp_count udp_tag
+       (String.concat ";\n     " tcp_body) tcp_count)
+
+(* A random packet stream: mostly packets of the UDP channel's layout,
+   some TCP packets, and some UDP packets too short to decode (left to
+   standard IP processing). *)
+let gen_packet =
+  let open Q.Gen in
+  let addr = map (fun n -> Netsim.Addr.of_string (Printf.sprintf "10.0.0.%d" n)) (int_range 1 6) in
+  frequency
+    [
+      ( 8,
+        map3
+          (fun (src, dst) (sport, dport) (n, (flag, (c, str))) ->
+            Planp_runtime.Pkt_codec.encode ~chan:"network"
+              (Value.Vtuple
+                 [|
+                   Value.Vip { Value.vsrc = src; vdst = dst; vttl = 64 };
+                   Value.Vudp { Netsim.Packet.udp_src = sport; udp_dst = dport };
+                   Value.Vint n; Value.vbool flag; Value.Vchar c; Value.Vstring str;
+                 |]))
+          (pair addr addr)
+          (pair (int_range 0 4) (int_range 0 4))
+          (pair (int_range 0 300) (pair bool (pair (char_range 'a' 'e') (oneofl [ ""; "a"; "bc" ])))) );
+      ( 2,
+        map3
+          (fun (src, dst) (sport, seq) syn ->
+            Netsim.Packet.tcp ~src ~dst ~src_port:sport ~dst_port:80 ~seq ~syn
+              (Payload.of_string "GET /"))
+          (pair addr addr) (pair (int_range 1000 1010) (int_range 0 5)) bool );
+      ( 1,
+        map
+          (fun (src, dst) -> Netsim.Packet.udp ~src ~dst ~src_port:1 ~dst_port:2 (Payload.of_string "x"))
+          (pair addr addr) );
+    ]
+
+let describe_packet (p : Netsim.Packet.t) =
+  Printf.sprintf "%s>%s ttl=%d %s [%s]" (Netsim.Addr.to_string p.Netsim.Packet.src)
+    (Netsim.Addr.to_string p.Netsim.Packet.dst) p.Netsim.Packet.ttl
+    (match p.Netsim.Packet.l4 with
+    | Netsim.Packet.Udp u -> Printf.sprintf "udp %d>%d" u.Netsim.Packet.udp_src u.Netsim.Packet.udp_dst
+    | Netsim.Packet.Tcp t ->
+        Printf.sprintf "tcp %d>%d seq=%d syn=%b" t.Netsim.Packet.tcp_src t.Netsim.Packet.tcp_dst
+          t.Netsim.Packet.tcp_seq t.Netsim.Packet.tcp_syn
+    | Netsim.Packet.Raw -> "raw")
+    (String.escaped (Payload.to_string p.Netsim.Packet.body))
+
+(* One run of [source] on a fresh node: what left it, what it delivered,
+   what it printed, its final states and its runtime counts. *)
+let run_program backend ~cache source packets =
+  let was = Planp_runtime.Flowcache.enabled () in
+  Planp_runtime.Flowcache.set_enabled cache;
+  Fun.protect ~finally:(fun () -> Planp_runtime.Flowcache.set_enabled was) @@ fun () ->
+  let engine = Netsim.Engine.create () in
+  let node = Netsim.Node.create engine ~name:"gen" ~addr:(Netsim.Addr.of_string "10.0.0.9") in
+  let sent = ref [] and delivered = ref [] in
+  let out = Netsim.Node.add_iface node ~name:"out" (fun ~l2_dst:_ p -> sent := describe_packet p :: !sent; true) in
+  Netsim.Routing.set_default (Netsim.Node.routing node) (Some { Netsim.Routing.ifindex = out; next_hop = None });
+  let record _ p = delivered := describe_packet p :: !delivered in
+  Netsim.Node.on_udp_default node record;
+  Netsim.Node.on_tcp_default node record;
+  let rt = Planp_runtime.Runtime.attach node in
+  match Planp_runtime.Runtime.install ~backend rt ~source () with
+  | Error e -> Error (Planp_runtime.Runtime.error_to_string e)
+  | Ok program ->
+      List.iter (fun p -> Planp_runtime.Runtime.inject rt p; Netsim.Engine.run engine) packets;
+      let stats = Planp_runtime.Runtime.stats rt in
+      let state name i =
+        Option.fold ~none:"-" ~some:Value.to_string (Planp_runtime.Runtime.channel_state program name i)
+      in
+      Ok
+        ( List.rev !sent,
+          List.rev !delivered,
+          Planp_runtime.Runtime.output rt,
+          ( Value.to_string (Planp_runtime.Runtime.proto_state program),
+            state "network" 0,
+            state "network" 1 ),
+          (stats.Planp_runtime.Runtime.handled, stats.fallthrough, stats.errors) )
+
+let program_backends =
+  Planp_jit.Backends.[ interp; bytecode; jit; jit_nofold ]
+
+let backends_program_differential =
+  Q.Test.make
+    ~name:"programs: interp, VM, JIT and jit-nofold agree, cache on and off"
+    ~count:(60 * prop_scale)
+    (Q.make
+       ~print:(fun (source, packets) ->
+         Printf.sprintf "%s\n-- %d packets:\n%s" source (List.length packets)
+           (String.concat "\n" (List.map describe_packet packets)))
+       Q.Gen.(pair gen_program (list_size (int_range 20 150) gen_packet)))
+    (fun (source, packets) ->
+      let reference = run_program Planp_runtime.Interp.backend ~cache:false source packets in
+      (match reference with
+      | Error message -> Q.Test.fail_reportf "generated program rejected: %s" message
+      | Ok _ -> ());
+      List.for_all
+        (fun backend ->
+          List.for_all
+            (fun cache ->
+              let run = run_program backend ~cache source packets in
+              run = reference
+              || Q.Test.fail_reportf "%s (cache %b) disagrees with the interpreter"
+                   backend.Planp_runtime.Backend.backend_name cache)
+            [ true; false ])
+        program_backends)
+
+(* ---------- tables against an association-list model ---------- *)
+
+module Ptype = Planp.Ptype
+module Prim = Planp_runtime.Prim
+
+type table_op =
+  | Tset of Value.t * int
+  | Tget of Value.t
+  | Tmem of Value.t
+  | Tremove of Value.t
+  | Tsize
+  | Tclear
+
+(* Each keyed operation goes through the boxed entry (the interpreter's
+   and the VM's path) or, for a flat key type, the typed entry with the
+   key as parts (the JIT's path), at random: both reach one table. *)
+let table_op_gen key =
+  let open Q.Gen in
+  let op =
+    frequency
+      [
+        (6, map2 (fun k v -> Tset (k, v)) key (int_range (-3) 3));
+        (2, map (fun k -> Tget k) key);
+        (2, map (fun k -> Tmem k) key);
+        (4, map (fun k -> Tremove k) key);
+        (1, return Tsize);
+        (1, map (fun n -> if n = 0 then Tclear else Tsize) (int_bound 40));
+      ]
+  in
+  pair op bool
+
+let table_model_property (name, key_ty, key) =
+  let width = Value.Table.parts_width key_ty in
+  let show (op, typed) =
+    let k v = Value.to_string v in
+    (match op with
+    | Tset (key, v) -> Printf.sprintf "set %s %d" (k key) v
+    | Tget key -> "get " ^ k key
+    | Tmem key -> "mem " ^ k key
+    | Tremove key -> "remove " ^ k key
+    | Tsize -> "size"
+    | Tclear -> "clear")
+    ^ if typed then " (parts)" else ""
+  in
+  Q.Test.make
+    ~name:(Printf.sprintf "tables: %s keys agree with an association list" name)
+    ~count:150
+    (Q.make
+       ~print:(fun ops -> String.concat "; " (List.map show ops))
+       Q.Gen.(list_size (int_range 50 900) (table_op_gen key)))
+    (fun ops ->
+      let world, _, _ = World.dummy () in
+      let prim name = Prim.find_exn name in
+      let call name args = (prim name).Prim.impl world (Array.of_list args) in
+      let table = call "mkTable" [ Value.Vint 4 ] in
+      let parts_of key =
+        let parts = Array.make (Option.get width) 0 in
+        ignore (Value.Table.pack key parts 0);
+        parts
+      in
+      let model = ref [] in
+      let lookup key = List.find_opt (fun (k, _) -> Value.equal k key) !model in
+      let forget key = List.filter (fun (k, _) -> not (Value.equal k key)) !model in
+      List.for_all
+        (fun (op, typed) ->
+          let typed = typed && Option.is_some width in
+          match op with
+          | Tset (key, v) ->
+              (if typed then
+                 match (prim "tblSet").Prim.typed with
+                 | Prim.Key_set set -> set table (parts_of key) (Value.Vint v)
+                 | _ -> assert false
+               else ignore (call "tblSet" [ table; key; Value.Vint v ]));
+              model := (key, Value.Vint v) :: forget key;
+              true
+          | Tget key ->
+              let default = Value.Vint 99 in
+              let got =
+                if typed then
+                  match (prim "tblGet").Prim.typed with
+                  | Prim.Key_get get -> get table (parts_of key) default
+                  | _ -> assert false
+                else call "tblGet" [ table; key; default ]
+              in
+              Value.equal got
+                (match lookup key with Some (_, v) -> v | None -> default)
+          | Tmem key ->
+              let got =
+                if typed then
+                  match (prim "tblMem").Prim.typed with
+                  | Prim.Key_mem mem -> mem table (parts_of key)
+                  | _ -> assert false
+                else Value.as_bool (call "tblMem" [ table; key ])
+              in
+              Bool.equal got (Option.is_some (lookup key))
+          | Tremove key ->
+              (if typed then
+                 match (prim "tblRemove").Prim.typed with
+                 | Prim.Key_remove remove -> remove table (parts_of key)
+                 | _ -> assert false
+               else ignore (call "tblRemove" [ table; key ]));
+              model := forget key;
+              true
+          | Tsize ->
+              Value.as_int (call "tblSize" [ table ]) = List.length !model
+          | Tclear ->
+              ignore (call "tblClear" [ table ]);
+              model := [];
+              true)
+        ops
+      && Value.as_int (call "tblSize" [ table ]) = List.length !model)
+
+let table_model_properties =
+  let open Q.Gen in
+  let small = int_range (-150) 150 in
+  let host = map (fun n -> Value.Vhost (0x0a000000 + n)) (int_range 0 300) in
+  List.map table_model_property
+    [
+      ("int", Ptype.Tint, map (fun n -> Value.Vint n) small);
+      ("host", Ptype.Thost, host);
+      ( "host*int",
+        Ptype.Ttuple [ Ptype.Thost; Ptype.Tint ],
+        map2 (fun h p -> Value.Vtuple [| h; Value.Vint p |]) host (int_range 0 3) );
+      ( "int*bool*char",
+        Ptype.Ttuple [ Ptype.Tint; Ptype.Tbool; Ptype.Tchar ],
+        map3
+          (fun n b c -> Value.Vtuple [| Value.Vint n; Value.vbool b; Value.Vchar c |])
+          (int_range (-60) 60) bool (oneofl [ 'a'; 'b'; '\000' ]) );
+      ( "string*int",
+        Ptype.Ttuple [ Ptype.Tstring; Ptype.Tint ],
+        map2
+          (fun s n -> Value.Vtuple [| Value.Vstring s; Value.Vint n |])
+          (oneofl [ ""; "a"; "ab"; "ba"; "abc" ])
+          (int_range 0 60) );
+    ]
 
 (* ---------- packet codec ---------- *)
 
@@ -736,7 +1317,7 @@ let flowstat_rate_nonnegative =
 let () =
   let suite =
     List.map QCheck_alcotest.to_alcotest
-      [
+      (table_model_properties @ [
         addr_roundtrip;
         sched_matches_reference_model;
         bucket_int_float_parity;
@@ -749,6 +1330,7 @@ let () =
         zipf_in_range;
         file_sizes_bounded;
         backends_differential;
+        backends_program_differential;
         fold_differential;
         pretty_parse_roundtrip;
         reparsed_evaluates_same;
@@ -757,6 +1339,6 @@ let () =
         frontend_fuzz;
         frontend_mutation_fuzz;
         flowstat_rate_nonnegative;
-      ]
+      ])
   in
   Alcotest.run "properties" [ ("qcheck", suite) ]
