@@ -136,6 +136,18 @@ let time_cmd =
   Cmd.v (Cmd.info "time" ~doc:"Measure code generation time (paper Fig. 3)")
     Term.(const run $ file_arg)
 
+(* [packets] TCP segments and [packets] UDP datagrams from [src] to [dst],
+   spread over a few ports so port-matching channels see both kinds. *)
+let send_traffic ~src ~dst ~packets =
+  for i = 1 to packets do
+    Extnet.Node.send_tcp src ~dst:(Extnet.Node.addr dst) ~src_port:(3000 + i)
+      ~dst_port:(if i mod 4 = 0 then 8080 else 80)
+      (Extnet.Payload.of_string "payload");
+    Extnet.Node.send_udp src ~dst:(Extnet.Node.addr dst) ~src_port:(4000 + i)
+      ~dst_port:(if i mod 3 = 0 then 7 else 53)
+      (Extnet.Payload.of_string "payload")
+  done
+
 let simulate_cmd =
   let run path packets backend_name =
     let source = read_file path in
@@ -166,14 +178,7 @@ let simulate_cmd =
     let tcp_seen = ref 0 and udp_seen = ref 0 in
     Extnet.Node.on_tcp_default b (fun _ _ -> incr tcp_seen);
     Extnet.Node.on_udp_default b (fun _ _ -> incr udp_seen);
-    for i = 1 to packets do
-      Extnet.Node.send_tcp a ~dst:(Extnet.Node.addr b) ~src_port:(3000 + i)
-        ~dst_port:(if i mod 4 = 0 then 8080 else 80)
-        (Extnet.Payload.of_string "payload");
-      Extnet.Node.send_udp a ~dst:(Extnet.Node.addr b) ~src_port:(4000 + i)
-        ~dst_port:(if i mod 3 = 0 then 7 else 53)
-        (Extnet.Payload.of_string "payload")
-    done;
+    send_traffic ~src:a ~dst:b ~packets;
     Extnet.Topology.run topo;
     (match Extnet.runtime_of router with
     | Some rt ->
@@ -207,89 +212,113 @@ let simulate_cmd =
        ~doc:"Run the program on a simulated router and inject test traffic")
     Term.(const run $ file_arg $ packets_arg $ backend_arg)
 
-(* Shared by [run], [stats] and the empty-policy branch of [adapt]:
-   alice --link-- router --segment-- bob with the program on the router
-   and a tracer capturing the segment, so every delivered frame also
-   lands in the timeline. Deterministic: same source and packet count
-   always produce the same registry contents. [policy], when given, must
-   be empty — the armed plane schedules nothing ({!Adapt.Policy.is_empty}),
-   which is exactly what the golden-parity tests pin down. *)
-let run_scenario ?faults_path ?policy ?(domains = 1) ~source ~backend ~packets
-    () =
+let at_least_one flag n =
+  if n < 1 then begin
+    prerr_endline (Printf.sprintf "planpc: %s must be >= 1" flag);
+    exit 1
+  end
+
+(* The scenario [run], [stats] and [adapt] share: alice --uplink-- router
+   --lan segment-- bob, where [targets > 1] chains routers [router0] ..
+   [routerN-1] by [relay] links (one router keeps the name [router]). A
+   tracer captures the segment, so every delivered frame also lands in
+   the timeline, and bob counts what it receives. The topology is
+   sharded over [domains] before faults are armed or any event lands:
+   fault targets are pinned into one partition and the scenario is armed
+   on its engine, so its RNG draws stay deterministic. Every run goes
+   through [par]. Fault target names: link "uplink", segment "lan",
+   nodes "alice", "router", "bob". *)
+type scenario = {
+  alice : Extnet.Node.t;
+  routers : Extnet.Node.t list;
+  bob : Extnet.Node.t;
+  par : Extnet.Par.t;
+  tracer : Extnet.Tracer.t;
+  tcp_seen : int ref;
+  udp_seen : int ref;
+}
+
+let build_scenario ?faults_path ~domains ~targets () =
   let topo = Extnet.Topology.create () in
-  let a = Extnet.Topology.add_host topo "alice" "10.0.0.1" in
-  let router = Extnet.Topology.add_host topo "router" "10.0.0.254" in
-  let b = Extnet.Topology.add_host topo "bob" "10.0.0.2" in
-  ignore (Extnet.Topology.connect ~name:"uplink" topo a router);
+  let alice = Extnet.Topology.add_host topo "alice" "10.0.0.1" in
+  let routers =
+    if targets = 1 then [ Extnet.Topology.add_host topo "router" "10.0.0.254" ]
+    else
+      List.init targets (fun i ->
+          Extnet.Topology.add_host topo
+            (Printf.sprintf "router%d" i)
+            (Printf.sprintf "10.0.%d.254" i))
+  in
+  let bob = Extnet.Topology.add_host topo "bob" "10.0.0.2" in
+  ignore (Extnet.Topology.connect ~name:"uplink" topo alice (List.hd routers));
+  List.iteri
+    (fun i r ->
+      if i > 0 then
+        ignore
+          (Extnet.Topology.connect
+             ~name:(Printf.sprintf "relay%d" (i - 1))
+             topo
+             (List.nth routers (i - 1))
+             r))
+    routers;
   let segment = Extnet.Topology.segment ~name:"lan" topo () in
-  ignore (Extnet.Topology.attach topo segment router);
-  ignore (Extnet.Topology.attach topo segment b);
+  ignore (Extnet.Topology.attach topo segment (List.nth routers (targets - 1)));
+  ignore (Extnet.Topology.attach topo segment bob);
   Extnet.Topology.compute_routes topo;
-  (* Scenario target names: link "uplink", segment "lan", nodes "alice",
-     "router", "bob". *)
   let scenario =
     Option.map
       (fun path -> or_die (Extnet.Faults.parse_scenario (read_file path)))
       faults_path
   in
-  (* With --domains >= 2, shard the topology before faults are armed and
-     packets injected: fault targets are pinned into one partition so the
-     scenario's RNG draws stay deterministic. *)
   let pin =
-    match (scenario, domains) with
-    | Some sc, d when d > 1 ->
+    match scenario with
+    | Some sc when domains > 1 ->
         or_die
           (Result.map_error
              (fun msg -> "--domains with --faults: " ^ msg)
              (Extnet.Faults.pin_targets topo sc))
     | _ -> []
   in
-  let par =
-    if domains = 1 then None
-    else Some (or_die (Extnet.Par.of_topology ~pin topo ~domains))
-  in
-  Option.iter
-    (fun par ->
-      Printf.printf "domains: %d (lookahead %gs)\n" (Extnet.Par.parts par)
-        (Extnet.Par.lookahead par))
-    par;
+  let par = or_die (Extnet.Par.of_topology ~pin topo ~domains) in
+  if domains > 1 then
+    Printf.printf "domains: %d (lookahead %gs)\n" domains
+      (Extnet.Par.lookahead par);
   Option.iter
     (fun sc ->
       let engine =
-        match (par, pin) with
-        | Some par, first :: _ -> Some (Extnet.Par.engine_of par first)
-        | _ -> None
+        Option.map (Extnet.Par.engine_of par) (List.nth_opt pin 0)
       in
       ignore (Extnet.Faults.arm ?engine topo sc))
     scenario;
   let tracer = Extnet.Tracer.on_segment segment () in
+  let tcp_seen = ref 0 and udp_seen = ref 0 in
+  Extnet.Node.on_tcp_default bob (fun _ _ -> incr tcp_seen);
+  Extnet.Node.on_udp_default bob (fun _ _ -> incr udp_seen);
+  { alice; routers; bob; par; tracer; tcp_seen; udp_seen }
+
+(* [run] and [stats]: the program on the router, [packets] of each kind
+   injected at once, run to quiescence. Deterministic: same source and
+   packet count always produce the same registry contents. [policy],
+   when given, must be empty — the armed plane schedules nothing
+   ({!Adapt.Policy.is_empty}), which is exactly what the golden-parity
+   tests pin down. *)
+let run_scenario ?faults_path ?policy ?(domains = 1) ~source ~backend ~packets
+    () =
+  let sc = build_scenario ?faults_path ~domains ~targets:1 () in
   ignore
     (or_die
-       (Extnet.load ~backend ~admission:Extnet.Authenticated router ~source ()));
-  let tcp_seen = ref 0 and udp_seen = ref 0 in
-  Extnet.Node.on_tcp_default b (fun _ _ -> incr tcp_seen);
-  Extnet.Node.on_udp_default b (fun _ _ -> incr udp_seen);
+       (Extnet.load ~backend ~admission:Extnet.Authenticated
+          (List.hd sc.routers) ~source ()));
   let plane =
     Option.map
       (fun policy ->
-        Extnet.Adapt.Plane.arm
-          ~engine:(Extnet.Topology.engine topo)
-          ~until:0.0 ~signals:[] policy)
+        Extnet.Adapt.Plane.arm ~par:sc.par ~until:0.0 ~signals:[] policy)
       policy
   in
   let start_snapshot = Obs.Registry.snapshot Obs.Registry.default in
-  for i = 1 to packets do
-    Extnet.Node.send_tcp a ~dst:(Extnet.Node.addr b) ~src_port:(3000 + i)
-      ~dst_port:(if i mod 4 = 0 then 8080 else 80)
-      (Extnet.Payload.of_string "payload");
-    Extnet.Node.send_udp a ~dst:(Extnet.Node.addr b) ~src_port:(4000 + i)
-      ~dst_port:(if i mod 3 = 0 then 7 else 53)
-      (Extnet.Payload.of_string "payload")
-  done;
-  (match par with
-  | None -> Extnet.Topology.run topo
-  | Some par -> Extnet.Par.run par);
-  (topo, par, tracer, start_snapshot, plane, !tcp_seen, !udp_seen)
+  send_traffic ~src:sc.alice ~dst:sc.bob ~packets;
+  Extnet.Par.run sc.par;
+  (sc, start_snapshot, plane)
 
 let backend_of_name backend_name =
   match Planp_jit.Backends.by_name backend_name with
@@ -330,8 +359,8 @@ let timeline_out_flag =
   out_flag [ "timeline-out" ]
     "Write the merged trace + metrics timeline as JSON to $(docv)"
 
-let export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
-    ~metrics_csv ~timeline_out =
+let export_observability sc ~start_snapshot ~metrics_out ~metrics_csv
+    ~timeline_out =
   let registry = Obs.Registry.default in
   Option.iter
     (fun file ->
@@ -347,16 +376,12 @@ let export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
     (fun file ->
       (* A partitioned run keeps one clock per domain; [Par.now] is their
          maximum, which equals the sequential engine's final clock. *)
-      let now =
-        match par with
-        | None -> Extnet.Engine.now (Extnet.Topology.engine topo)
-        | Some par -> Extnet.Par.now par
-      in
+      let now = Extnet.Par.now sc.par in
       let events =
         Obs.Timeline.merge
           [
             [ Obs.Timeline.of_snapshot ~at:0.0 start_snapshot ];
-            Extnet.Tracer.to_events tracer;
+            Extnet.Tracer.to_events sc.tracer;
             [ Obs.Timeline.of_snapshot ~at:now (Obs.Registry.snapshot registry) ];
           ]
       in
@@ -370,16 +395,16 @@ let export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
 let run_plain ?policy ?domains path packets backend_name metrics_out
     metrics_csv timeline_out faults_path =
   let backend = backend_of_name backend_name in
-  let topo, par, tracer, start_snapshot, plane, tcp_seen, udp_seen =
+  let sc, start_snapshot, plane =
     run_scenario ?faults_path ?policy ?domains ~source:(read_file path)
       ~backend ~packets ()
   in
   Printf.printf "--- run (%s backend) ---\n" backend_name;
-  Printf.printf "receiver (bob): tcp %d   udp %d (of %d each sent)\n" tcp_seen
-    udp_seen packets;
+  Printf.printf "receiver (bob): tcp %d   udp %d (of %d each sent)\n"
+    !(sc.tcp_seen) !(sc.udp_seen) packets;
   Printf.printf "tracer: %d frame(s) captured, %d evicted\n"
-    (Extnet.Tracer.count tracer)
-    (Extnet.Tracer.dropped tracer);
+    (Extnet.Tracer.count sc.tracer)
+    (Extnet.Tracer.dropped sc.tracer);
   Option.iter
     (fun plane ->
       let stats = Extnet.Adapt.Plane.stats plane in
@@ -387,8 +412,8 @@ let run_plain ?policy ?domains path packets backend_name metrics_out
         "adaptation: empty policy armed, %d tick(s), %d firing(s) (inert)\n"
         stats.Extnet.Adapt.Plane.st_ticks stats.Extnet.Adapt.Plane.st_fired)
     plane;
-  export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
-    ~metrics_csv ~timeline_out
+  export_observability sc ~start_snapshot ~metrics_out ~metrics_csv
+    ~timeline_out
 
 let domains_flag =
   Arg.(
@@ -412,10 +437,7 @@ let no_flowcache_flag =
 let run_cmd =
   let run path packets backend_name domains no_flowcache metrics_out
       metrics_csv timeline_out faults_path =
-    if domains < 1 then begin
-      prerr_endline "planpc: --domains must be >= 1";
-      exit 1
-    end;
+    at_least_one "--domains" domains;
     if no_flowcache then Planp_runtime.Flowcache.set_enabled false;
     run_plain ~domains path packets backend_name metrics_out metrics_csv
       timeline_out faults_path
@@ -432,9 +454,7 @@ let run_cmd =
 let stats_cmd =
   let run path packets backend_name =
     let backend = backend_of_name backend_name in
-    let _topo, _par, _tracer, _start, _plane, _tcp, _udp =
-      run_scenario ~source:(read_file path) ~backend ~packets ()
-    in
+    ignore (run_scenario ~source:(read_file path) ~backend ~packets ());
     Obs.Registry.pp Format.std_formatter Obs.Registry.default;
     Format.pp_print_flush Format.std_formatter ()
   in
@@ -748,14 +768,8 @@ let adapt_cmd =
       duration variants domains targets metrics_out metrics_csv timeline_out
       faults_path =
     ignore (backend_of_name backend_name);
-    if domains < 1 then begin
-      prerr_endline "planpc: --domains must be >= 1";
-      exit 1
-    end;
-    if targets < 1 then begin
-      prerr_endline "planpc: --targets must be >= 1";
-      exit 1
-    end;
+    at_least_one "--domains" domains;
+    at_least_one "--targets" targets;
     let policy =
       match Extnet.Adapt.Policy.parse (read_file policy_path) with
       | Ok policy -> policy
@@ -774,87 +788,15 @@ let adapt_cmd =
       let variant_sources =
         List.map (fun (vname, vpath) -> (vname, read_file vpath)) variants
       in
-      let topo = Extnet.Topology.create () in
-      let a = Extnet.Topology.add_host topo "alice" "10.0.0.1" in
-      (* --targets 1 keeps the classic alice--router--lan names (the
-         golden-parity baseline); a fleet chains relay routers that all
-         run the program, so a swap must restage every hop. *)
-      let routers =
-        if targets = 1 then
-          [ Extnet.Topology.add_host topo "router" "10.0.0.254" ]
-        else
-          List.init targets (fun i ->
-              Extnet.Topology.add_host topo
-                (Printf.sprintf "router%d" i)
-                (Printf.sprintf "10.0.%d.254" i))
-      in
-      let b = Extnet.Topology.add_host topo "bob" "10.0.0.2" in
-      ignore
-        (Extnet.Topology.connect ~name:"uplink" topo a (List.hd routers));
-      List.iteri
-        (fun i r ->
-          if i > 0 then
-            ignore
-              (Extnet.Topology.connect
-                 ~name:(Printf.sprintf "relay%d" (i - 1))
-                 topo
-                 (List.nth routers (i - 1))
-                 r))
-        routers;
-      let segment = Extnet.Topology.segment ~name:"lan" topo () in
-      ignore
-        (Extnet.Topology.attach topo segment (List.nth routers (targets - 1)));
-      ignore (Extnet.Topology.attach topo segment b);
-      Extnet.Topology.compute_routes topo;
-      let scenario =
-        Option.map
-          (fun fpath -> or_die (Extnet.Faults.parse_scenario (read_file fpath)))
-          faults_path
-      in
-      (* As in [run]: shard before faults are armed or any event lands,
-         pinning fault targets into one partition. *)
-      let pin =
-        match (scenario, domains) with
-        | Some sc, d when d > 1 ->
-            or_die
-              (Result.map_error
-                 (fun msg -> "--domains with --faults: " ^ msg)
-                 (Extnet.Faults.pin_targets topo sc))
-        | _ -> []
-      in
-      (* Unlike [run], a single-domain adapt still goes through a
-         parts=1 partitioned driver: monitor ticks then ride the same
-         window-barrier pacers for every --domains count, which is what
-         makes the exports byte-identical between --domains 1 and
-         --domains N (engine-scheduled ticks would count as extra
-         engine events in the sequential run only). *)
-      let par = Some (or_die (Extnet.Par.of_topology ~pin topo ~domains)) in
-      Option.iter
-        (fun par ->
-          if Extnet.Par.parts par > 1 then
-            Printf.printf "domains: %d (lookahead %gs)\n"
-              (Extnet.Par.parts par) (Extnet.Par.lookahead par))
-        par;
-      Option.iter
-        (fun sc ->
-          let engine =
-            match (par, pin) with
-            | Some par, first :: _ -> Some (Extnet.Par.engine_of par first)
-            | _ -> None
-          in
-          ignore (Extnet.Faults.arm ?engine topo sc))
-        scenario;
-      let tracer = Extnet.Tracer.on_segment segment () in
-      let engine = Extnet.Topology.engine topo in
+      let sc = build_scenario ?faults_path ~domains ~targets () in
       let daemons =
-        List.map (fun r -> (r, Extnet.Deploy.Daemon.start r ())) routers
+        List.map (fun r -> (r, Extnet.Deploy.Daemon.start r ())) sc.routers
       in
-      let controller = Extnet.Deploy.Controller.create ~chunk_size a () in
-      let tcp_seen = ref 0 and udp_seen = ref 0 in
-      Extnet.Node.on_tcp_default b (fun _ _ -> incr tcp_seen);
-      Extnet.Node.on_udp_default b (fun _ _ -> incr udp_seen);
+      let controller =
+        Extnet.Deploy.Controller.create ~chunk_size sc.alice ()
+      in
       let start_snapshot = Obs.Registry.snapshot Obs.Registry.default in
-      let router_addrs = List.map Extnet.Node.addr routers in
+      let router_addrs = List.map Extnet.Node.addr sc.routers in
       let initial = ref None in
       (match router_addrs with
       | [ target ] ->
@@ -885,23 +827,10 @@ let adapt_cmd =
                   | None, (_, o) :: _ -> o
                   | None, [] -> Extnet.Deploy.Controller.Timed_out))
             ());
-      let inj_engine =
-        match par with
-        | Some par -> Extnet.Par.engine_of par a
-        | None -> engine
-      in
+      let inj_engine = Extnet.Par.engine_of sc.par sc.alice in
       for second = 0 to int_of_float (Float.round duration) - 1 do
         Extnet.Engine.schedule inj_engine ~at:(float_of_int second) (fun () ->
-            for i = 1 to packets do
-              Extnet.Node.send_tcp a ~dst:(Extnet.Node.addr b)
-                ~src_port:(3000 + i)
-                ~dst_port:(if i mod 4 = 0 then 8080 else 80)
-                (Extnet.Payload.of_string "payload");
-              Extnet.Node.send_udp a ~dst:(Extnet.Node.addr b)
-                ~src_port:(4000 + i)
-                ~dst_port:(if i mod 3 = 0 then 7 else 53)
-                (Extnet.Payload.of_string "payload")
-            done)
+            send_traffic ~src:sc.alice ~dst:sc.bob ~packets)
       done;
       let env =
         {
@@ -933,9 +862,9 @@ let adapt_cmd =
       in
       let plane =
         try
-          Extnet.Adapt.Plane.arm ~env ?par
+          Extnet.Adapt.Plane.arm ~env ~par:sc.par
             ~active:[ (name, "default") ]
-            ~engine ~until:duration
+            ~until:duration
             ~signals:
               [
                 ( "drop_rate",
@@ -946,16 +875,15 @@ let adapt_cmd =
                        "netsim.segment.drops") );
                 ( "goodput",
                   Extnet.Adapt.Monitor.Rate_of
-                    (fun () -> float_of_int (!tcp_seen + !udp_seen)) );
+                    (fun () -> float_of_int (!(sc.tcp_seen) + !(sc.udp_seen)))
+                );
               ]
             policy
         with Invalid_argument message ->
           prerr_endline ("planpc: " ^ message);
           exit 1
       in
-      (match par with
-      | None -> Extnet.Topology.run_until topo ~stop:duration
-      | Some par -> Extnet.Par.run_until par ~stop:duration);
+      Extnet.Par.run_until sc.par ~stop:duration;
       Printf.printf "--- adapt (%s backend, policy %s) ---\n" backend_name
         policy_path;
       let initial = !initial in
@@ -966,10 +894,10 @@ let adapt_cmd =
         | Some outcome -> Extnet.Deploy.Controller.outcome_to_string outcome
         | None -> "still in flight");
       Printf.printf "receiver (bob): tcp %d   udp %d (of %d/s each for %gs)\n"
-        !tcp_seen !udp_seen packets duration;
+        !(sc.tcp_seen) !(sc.udp_seen) packets duration;
       Printf.printf "tracer: %d frame(s) captured, %d evicted\n"
-        (Extnet.Tracer.count tracer)
-        (Extnet.Tracer.dropped tracer);
+        (Extnet.Tracer.count sc.tracer)
+        (Extnet.Tracer.dropped sc.tracer);
       let stats = Extnet.Adapt.Plane.stats plane in
       Printf.printf
         "plane: %d tick(s), %d firing(s), %d swap(s) (%d failed), %d \
@@ -1000,8 +928,8 @@ let adapt_cmd =
                      (fun (slot, epoch) -> Printf.sprintf "%s@%d" slot epoch)
                      slots)))
         daemons;
-      export_observability ~topo ~par ~tracer ~start_snapshot ~metrics_out
-        ~metrics_csv ~timeline_out;
+      export_observability sc ~start_snapshot ~metrics_out ~metrics_csv
+        ~timeline_out;
       match initial with
       | Some (Extnet.Deploy.Controller.Acked _) -> ()
       | Some outcome ->

@@ -1,5 +1,3 @@
-module Engine = Netsim.Engine
-
 type source =
   | Counter_rate of Obs.Registry.counter
   | Gauge of Obs.Registry.gauge
@@ -16,7 +14,6 @@ type watch = {
 }
 
 type t = {
-  engine : Engine.t;
   period : float;
   until : float;
   mutable watches : watch list; (* reverse registration order *)
@@ -27,10 +24,9 @@ type t = {
   registry : Obs.Registry.t;
 }
 
-let create ?(registry = Obs.Registry.default) ~period ~until engine =
+let create ?(registry = Obs.Registry.default) ~period ~until () =
   if period <= 0.0 then invalid_arg "Adapt.Monitor.create: period <= 0";
   {
-    engine;
     period;
     until;
     watches = [];
@@ -79,7 +75,7 @@ let sample t watch =
       watch.w_prev <- now;
       rate
 
-let tick_body t ~now =
+let tick t ~now =
   List.iter
     (fun watch -> Signal.push watch.w_signal (sample t watch))
     (List.rev t.watches);
@@ -87,34 +83,13 @@ let tick_body t ~now =
   Obs.Registry.incr t.m_ticks;
   List.iter (fun hook -> hook ~now) (List.rev t.hooks)
 
-let rec tick t () =
-  (* Publish every batched counter before reading the registry. *)
-  Engine.flush t.engine;
-  let now = Engine.now t.engine in
-  tick_body t ~now;
-  if now +. t.period <= t.until then
-    Engine.schedule_after t.engine ~delay:t.period (tick t)
-
-let seed t =
-  List.iter (fun watch -> watch.w_prev <- cumulative watch) t.watches
-
-let start t =
+let start t par =
   if not t.started then begin
     t.started <- true;
-    seed t;
-    if Engine.now t.engine +. t.period <= t.until then
-      Engine.schedule_after t.engine ~delay:t.period (tick t)
-  end
-
-let start_paced t par =
-  if not t.started then begin
-    t.started <- true;
-    seed t;
+    List.iter (fun watch -> watch.w_prev <- cumulative watch) t.watches;
     (* The pacer flushes every partition's engine (in partition order)
-       before firing, so the tick body reads a globally consistent
-       registry without flushing here. *)
-    Netsim.Par_engine.add_pacer par ~period:t.period ~until:t.until
-      (fun ~now -> tick_body t ~now)
+       before firing, so the tick reads a globally consistent registry. *)
+    Netsim.Par_engine.add_pacer par ~period:t.period ~until:t.until (tick t)
   end
 
 let signal t name =

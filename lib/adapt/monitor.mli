@@ -1,16 +1,18 @@
-(** The condition monitor: a periodic probe scheduled on the simulation
-    engine that samples {!Obs.Registry} metrics (and application
-    callbacks) into named, EWMA-smoothed {!Signal}s.
+(** The condition monitor: a periodic probe that samples {!Obs.Registry}
+    metrics (and application callbacks) into named, EWMA-smoothed
+    {!Signal}s.
 
-    Each tick first runs {!Netsim.Engine.flush} so components that batch
-    per-packet counters (links, segments, the fault plane) publish before
-    sampling — registry reads are exact at every probe instant, not just
-    at run exit.
+    A monitor ticks as a pacer of the simulation driver
+    ({!Netsim.Par_engine.add_pacer}), not as an engine event: a tick at
+    time [T] runs after every event at [<= T] on every partition, with
+    every engine clock forced to [T] and every partition's batched
+    counters (links, segments, the fault plane) flushed — registry reads
+    are exact at every probe instant, and identical for any domain count.
+    Ticks are not counted in [netsim.engine.events].
 
     Cost model (the Faults precedent): a monitor only exists when
-    something armed it, and arming schedules plain engine timers bounded
-    by [until]. A run that arms no monitor schedules nothing — the
-    golden-parity tests pin runs with an empty adaptation policy
+    something armed it. A run that arms no monitor registers no pacer —
+    the golden-parity tests pin runs with an empty adaptation policy
     event-for-event to runs without an adaptation plane. *)
 
 (** Where a signal's raw sample comes from each tick. *)
@@ -29,14 +31,11 @@ type source =
 type t
 
 val create :
-  ?registry:Obs.Registry.t ->
-  period:float ->
-  until:float ->
-  Netsim.Engine.t ->
-  t
-(** A monitor ticking every [period] seconds from [period] to [until]
-    (simulated time; bounded so a run driven to quiescence terminates).
-    Nothing is scheduled until {!start}.
+  ?registry:Obs.Registry.t -> period:float -> until:float -> unit -> t
+(** A monitor ticking every [period] seconds of simulated time, from
+    [period] after {!start} while the tick time stays [<= until] (bounded
+    so a run driven to quiescence terminates). Nothing ticks until
+    {!start}.
     @raise Invalid_argument when [period <= 0]. *)
 
 val watch : t -> ?alpha:float -> name:string -> source -> Signal.t
@@ -49,16 +48,9 @@ val on_tick : t -> (now:float -> unit) -> unit
 (** [on_tick t hook] runs [hook] after each tick's sampling — where the
     policy engine evaluates its rules. Hooks run in registration order. *)
 
-val start : t -> unit
-(** Schedule the tick chain; idempotent. *)
-
-val start_paced : t -> Netsim.Par_engine.t -> unit
-(** Re-home the tick chain onto [par]'s window barriers
-    ({!Netsim.Par_engine.add_pacer}): each tick runs with every partition
-    quiescent and every engine clock forced (and flushed) to the tick
-    time, so samples and decisions are byte-identical for any domain
-    count. The tick cadence is the same [period]-to-[until] chain as
-    {!start}. Idempotent with respect to {!start}. *)
+val start : t -> Netsim.Par_engine.t -> unit
+(** [start t par] registers the tick chain as a pacer of [par], first
+    tick at [Par_engine.now par + period]; idempotent. *)
 
 val signal : t -> string -> Signal.t option
 val signals : t -> Signal.t list

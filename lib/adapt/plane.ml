@@ -91,8 +91,8 @@ type t = {
 
 (* The engine decisions are timed and guard windows scheduled on: the
    controller node's, read at call time. Stage ACKs run on the partition
-   that owns the controller, which in a partitioned run need not be the
-   engine the plane was armed with. *)
+   that owns the controller, which in a partitioned run need not be
+   partition 0. *)
 let clock t =
   match t.env with
   | Some env -> Netsim.Node.engine (Controller.node env.de_controller)
@@ -478,10 +478,10 @@ let needs_env = function
   | Policy.Swap _ | Policy.Undeploy _ -> true
   | Policy.Retune _ | Policy.Escalate _ -> false
 
-let arm ?(registry = Obs.Registry.default) ?env ?par ?(active = [])
+let arm ?(registry = Obs.Registry.default) ?env ?(active = [])
     ?(on_retune = fun ~param:_ ~value:_ -> ())
     ?(on_escalate = fun ~reason:_ -> ())
-    ?(on_swap = fun ~program:_ ~variant:_ -> ()) ~engine ~until ~signals
+    ?(on_swap = fun ~program:_ ~variant:_ -> ()) ~par ~until ~signals
     policy =
   (* An empty policy must leave the registry untouched too (golden
      parity): park its never-incremented counters in a private registry. *)
@@ -515,7 +515,7 @@ let arm ?(registry = Obs.Registry.default) ?env ?par ?(active = [])
       )
     else begin
       let monitor =
-        Monitor.create ~registry ~period:policy.Policy.period ~until engine
+        Monitor.create ~registry ~period:policy.Policy.period ~until ()
       in
       let table =
         List.map
@@ -537,7 +537,7 @@ let arm ?(registry = Obs.Registry.default) ?env ?par ?(active = [])
   in
   let t =
     {
-      engine;
+      engine = (Netsim.Par_engine.engines par).(0);
       policy;
       monitor;
       env;
@@ -592,9 +592,7 @@ let arm ?(registry = Obs.Registry.default) ?env ?par ?(active = [])
   Option.iter
     (fun monitor ->
       Monitor.on_tick monitor (fun ~now -> on_tick t ~now);
-      match par with
-      | Some par -> Monitor.start_paced monitor par
-      | None -> Monitor.start monitor)
+      Monitor.start monitor par)
     t.monitor;
   t
 

@@ -73,28 +73,28 @@ type t
 val arm :
   ?registry:Obs.Registry.t ->
   ?env:deploy_env ->
-  ?par:Netsim.Par_engine.t ->
   ?active:(string * string) list ->
   ?on_retune:(param:string -> value:float -> unit) ->
   ?on_escalate:(reason:string -> unit) ->
   ?on_swap:(program:string -> variant:string -> unit) ->
-  engine:Netsim.Engine.t ->
+  par:Netsim.Par_engine.t ->
   until:float ->
   signals:(string * Monitor.source) list ->
   Policy.t ->
   t
-(** [arm ~engine ~until ~signals policy] wires and starts the loop;
-    monitor ticks run every [policy.period] until [until]. With an [env],
-    decisions are timed and guard windows scheduled on the engine of the
-    controller's node, read when they happen: under [par] that is the
-    partition that runs the controller's stage ACKs.
+(** [arm ~par ~until ~signals policy] wires and starts the loop: the
+    monitor ticks as a pacer of the driver [par] ({!Monitor.start}) every
+    [policy.period] until [until], so every tick samples a registry
+    flushed on every partition and decides with the whole fleet
+    quiescent — runs are byte-identical for any domain count. Run the
+    simulation through [par] ({!Netsim.Par_engine.run_until}); a
+    sequential run is [Par_engine.of_topology topo ~domains:1]. With an
+    [env], decisions are timed and guard windows scheduled on the engine
+    of the controller's node, read when they happen: the partition that
+    runs the controller's stage ACKs. Without one they are timed on
+    partition 0.
 
     @param env required when any rule swaps or undeploys
-    @param par re-home the monitor onto this partitioned driver's window
-      barriers ({!Monitor.start_paced}): each partition's engine samples
-      its local registry after a merge-ordered flush, and decisions run
-      with the whole fleet quiescent — paced runs are byte-identical for
-      any domain count. Without [par] ticks are plain engine events.
     @param active the initially-deployed variant of each program, so the
       hysteresis check can suppress a swap to the variant already live
     @param on_swap runs after a swap converges on the whole fleet (e.g.

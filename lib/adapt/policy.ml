@@ -88,14 +88,11 @@ let strip_quotes s =
 (* when SIG CMP VAL [and SIG CMP VAL]* -> (predicate, rest after clauses) *)
 let rec parse_clauses acc = function
   | signal :: cmp :: threshold :: rest ->
-      let clause =
-        Cmp
-          {
-            signal;
-            cmp = cmp_of_token cmp;
-            threshold = float_tok "threshold" threshold;
-          }
-      in
+      let threshold = float_tok "threshold" threshold in
+      (* Every comparison with nan is false: such a rule never fires. *)
+      if Float.is_nan threshold then
+        fail "signal %s: threshold must be a number, got nan" signal;
+      let clause = Cmp { signal; cmp = cmp_of_token cmp; threshold } in
       (match rest with
       | "and" :: rest -> parse_clauses (clause :: acc) rest
       | rest -> (List.rev (clause :: acc), rest))

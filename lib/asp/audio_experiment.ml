@@ -1,5 +1,6 @@
 module Topology = Netsim.Topology
 module Node = Netsim.Node
+module Par = Netsim.Par_engine
 module Runtime = Planp_runtime.Runtime
 module Audio_frame = Planp_runtime.Audio_frame
 
@@ -197,16 +198,16 @@ let run config =
            ())
     else None
   in
+  (* The one-partition driver: the run goes through it and the
+     adaptation monitor ticks as its pacer. *)
+  let par = Result.get_ok (Par.of_topology topo ~domains:1) in
   let adaptation =
     match config.adaptation with
     | None -> None
     | Some policy when Adapt.Policy.is_empty policy ->
         (* Arms nothing; bit-identical to [adaptation = None] (pinned by
            the golden-parity test). *)
-        Some
-          (Adapt.Plane.arm
-             ~engine:(Topology.engine topo)
-             ~until:config.duration ~signals:[] policy)
+        Some (Adapt.Plane.arm ~par ~until:config.duration ~signals:[] policy)
     | Some policy ->
         let ctl =
           match Option.bind plane Deploy_mode.controller with
@@ -280,8 +281,7 @@ let run config =
         Some
           (Adapt.Plane.arm ~env ~on_retune
              ~active:[ ("audio-router", "default") ]
-             ~engine:(Topology.engine topo)
-             ~until:config.duration
+             ~par ~until:config.duration
              ~signals:
                [
                  ( "drop_rate",
@@ -298,7 +298,7 @@ let run config =
              policy)
   in
   (* Run slightly past the end so frames in flight at [duration] land. *)
-  Topology.run_until topo ~stop:(config.duration +. 0.5);
+  Par.run_until par ~stop:(config.duration +. 0.5);
   let frames_sent = Audio_app.Source.frames_sent source in
   let silent_periods, silent_frames =
     Audio_app.Client.silent_periods audio_client ~frames_expected:frames_sent

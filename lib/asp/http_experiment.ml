@@ -1,5 +1,6 @@
 module Topology = Netsim.Topology
 module Node = Netsim.Node
+module Par = Netsim.Par_engine
 module Routing = Netsim.Routing
 module Runtime = Planp_runtime.Runtime
 
@@ -237,16 +238,13 @@ let run_point config setup ~workers =
       (fun acc app -> match app with Some app -> acc + read app | None -> acc)
       0 client_apps
   in
+  let par = Result.get_ok (Par.of_topology topo ~domains:1) in
   let adaptation_planes =
     match config.adaptation with
     | None -> []
     | Some policy when Adapt.Policy.is_empty policy ->
         (* Arms nothing; bit-identical to [adaptation = None]. *)
-        [
-          Adapt.Plane.arm
-            ~engine:(Topology.engine topo)
-            ~until:config.duration ~signals:[] policy;
-        ]
+        [ Adapt.Plane.arm ~par ~until:config.duration ~signals:[] policy ]
     | Some policy ->
         let backend, ctl =
           match (setup, Option.bind !gateway_plane Deploy_mode.controller) with
@@ -303,9 +301,7 @@ let run_point config setup ~workers =
         let arm_plane ~targets ~on_swap ~signals =
           Adapt.Plane.arm ~env:(env_for targets)
             ~active:[ ("http-gateway", "plain") ]
-            ~on_swap
-            ~engine:(Topology.engine topo)
-            ~until:config.duration ~signals policy
+            ~on_swap ~par ~until:config.duration ~signals policy
         in
         let rate_signals read_retries read_completed =
           [
@@ -363,7 +359,7 @@ let run_point config setup ~workers =
     | Coordinated, plane :: _ -> Some plane
     | Independent, _ | _, [] -> None
   in
-  Topology.run_until topo ~stop:config.duration;
+  Par.run_until par ~stop:config.duration;
   let completed =
     List.fold_left
       (fun acc app ->

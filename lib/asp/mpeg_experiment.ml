@@ -1,5 +1,6 @@
 module Topology = Netsim.Topology
 module Node = Netsim.Node
+module Par = Netsim.Par_engine
 module Runtime = Planp_runtime.Runtime
 
 type config = {
@@ -177,15 +178,13 @@ let run config =
         acc + i + p)
       0 clients
   in
+  let par = Result.get_ok (Par.of_topology topo ~domains:1) in
   let adaptation =
     match config.adaptation with
     | None -> None
     | Some policy when Adapt.Policy.is_empty policy ->
         (* Arms nothing; bit-identical to [adaptation = None]. *)
-        Some
-          (Adapt.Plane.arm
-             ~engine:(Topology.engine topo)
-             ~until:config.duration ~signals:[] policy)
+        Some (Adapt.Plane.arm ~par ~until:config.duration ~signals:[] policy)
     | Some policy ->
         let ctl =
           match Option.bind !plane Deploy_mode.controller with
@@ -233,8 +232,7 @@ let run config =
         Some
           (Adapt.Plane.arm ~env
              ~active:[ ("mpeg-filter", "pass") ]
-             ~engine:(Topology.engine topo)
-             ~until:config.duration
+             ~par ~until:config.duration
              ~signals:
                [
                  ( "loss_rate",
@@ -248,7 +246,7 @@ let run config =
                ]
              policy)
   in
-  Topology.run_until topo ~stop:config.duration;
+  Par.run_until par ~stop:config.duration;
   let labels = [ ("experiment", "mpeg") ] in
   List.iter
     (fun (name, value) ->

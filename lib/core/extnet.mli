@@ -25,9 +25,11 @@ module Segment = Netsim.Segment
 module Tracer = Netsim.Tracer
 module Faults = Netsim.Faults
 
-(** Topology partitioning and the deterministic parallel driver: shard a
-    built topology across OCaml 5 domains with {!Par.of_topology} and
-    drive it with {!Par.run} / {!Par.run_until}. *)
+(** Topology partitioning and the simulation driver: build one for a
+    topology with {!Par.of_topology} ([~domains:1] is the sequential
+    engine; more shards it across OCaml 5 domains) and drive it with
+    {!Par.run} / {!Par.run_until}. Adaptation monitors tick as its
+    pacers. *)
 module Partition = Netsim.Partition
 
 module Par = Netsim.Par_engine
@@ -43,10 +45,10 @@ module Backends = Planp_jit.Backends
     {!Deploy.Daemon}s, which verify on arrival and hot-swap by epoch. *)
 module Deploy = Deploy
 
-(** The closed-loop adaptation plane: {!Adapt.Monitor}s sample
-    {!Obs.Registry} metrics into smoothed condition signals, an
-    {!Adapt.Policy} decides, and {!Adapt.Plane} executes hot-swaps
-    through {!Deploy.Controller} epochs under a KPI guard. *)
+(** The closed-loop adaptation plane: {!Adapt.Monitor}s, pacers of the
+    {!Par} driver, sample {!Obs.Registry} metrics into smoothed condition
+    signals, an {!Adapt.Policy} decides, and {!Adapt.Plane} executes
+    hot-swaps through {!Deploy.Controller} epochs under a KPI guard. *)
 module Adapt = Adapt
 
 (** How [load] treats programs the verifier rejects. *)

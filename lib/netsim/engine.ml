@@ -52,7 +52,6 @@ type t = {
   mutable processed : int;
   mutable flushed : int; (* events already pushed to m_events *)
   mutable depth_max : int;
-  mutable wall_spent : float; (* cpu seconds inside run/run_until *)
   mutable flush_hooks : (unit -> unit) list; (* registration order *)
   m_events : Obs.Registry.counter;
 }
@@ -72,7 +71,6 @@ let create ?(register_gauges = true) () =
       processed = 0;
       flushed = 0;
       depth_max = 0;
-      wall_spent = 0.0;
       flush_hooks = [];
       m_events =
         Obs.Registry.counter ~help:"events executed" "netsim.engine.events";
@@ -98,12 +96,7 @@ let create ?(register_gauges = true) () =
     Obs.Registry.set_fn
       (Obs.Registry.gauge ~volatile:true ~help:"peak event-queue depth"
          "netsim.engine.heap_depth_max")
-      (fun () -> float_of_int engine.depth_max);
-    Obs.Registry.set_fn
-      (Obs.Registry.gauge ~volatile:true
-         ~help:"cpu seconds spent inside run/run_until"
-         "netsim.engine.wall_cpu_s")
-      (fun () -> engine.wall_spent)
+      (fun () -> float_of_int engine.depth_max)
   end;
   engine
 
@@ -359,48 +352,12 @@ let step engine =
     true
   end
 
-let run ?(limit = default_limit) engine =
-  let started = Sys.time () in
-  let fired = ref 0 in
-  Fun.protect
-    ~finally:(fun () ->
-      flush_events engine;
-      engine.wall_spent <- engine.wall_spent +. (Sys.time () -. started))
-    (fun () ->
-      while step engine do
-        incr fired;
-        if !fired > limit then invalid_arg "Engine.run: event limit exceeded"
-      done)
-
-let run_until ?(limit = default_limit) engine ~stop =
-  let started = Sys.time () in
-  let fired = ref 0 in
-  let continue = ref true in
-  Fun.protect
-    ~finally:(fun () ->
-      flush_events engine;
-      engine.wall_spent <- engine.wall_spent +. (Sys.time () -. started))
-    (fun () ->
-      while !continue do
-        if
-          Sched.peek_time engine.queue ~into:engine.scratch
-          && engine.scratch.Sched.v <= stop
-        then begin
-          ignore (step engine);
-          incr fired;
-          if !fired > limit then
-            invalid_arg "Engine.run_until: event limit exceeded"
-        end
-        else continue := false
-      done;
-      if stop > engine.clock.Sched.v then engine.clock.Sched.v <- stop)
-
-(* A bounded slice for the partitioned parallel driver: process events
-   strictly below [stop] ([<= stop] when [inclusive]), do NOT flush
-   batched metrics (worker domains must never touch the shared registry)
-   and do NOT advance the clock to [stop] (later windows still need
-   cross-partition pushes at [>= stop] to be "in the future").  Returns
-   the number of events fired so the driver can enforce a global limit. *)
+(* The one event loop: process events strictly below [stop] ([<= stop]
+   when [inclusive]) and return how many fired.  It neither flushes
+   batched metrics (worker domains of the partitioned driver must never
+   touch the shared registry) nor advances the clock to [stop] (later
+   windows still need cross-partition pushes at [>= stop] to be "in the
+   future"); [run] and [run_until] add those as epilogues. *)
 let run_window ?(limit = default_limit) ?(inclusive = false) engine ~stop =
   let fired = ref 0 in
   let continue = ref true in
@@ -412,12 +369,24 @@ let run_window ?(limit = default_limit) ?(inclusive = false) engine ~stop =
     then begin
       ignore (step engine);
       incr fired;
-      if !fired > limit then
-        invalid_arg "Engine.run_window: event limit exceeded"
+      if !fired > limit then invalid_arg "Engine: event limit exceeded"
     end
     else continue := false
   done;
   !fired
+
+let run ?limit engine =
+  Fun.protect
+    ~finally:(fun () -> flush_events engine)
+    (fun () ->
+      ignore (run_window ?limit ~inclusive:true engine ~stop:Float.infinity))
+
+let run_until ?limit engine ~stop =
+  Fun.protect
+    ~finally:(fun () -> flush_events engine)
+    (fun () ->
+      ignore (run_window ?limit ~inclusive:true engine ~stop);
+      if stop > engine.clock.Sched.v then engine.clock.Sched.v <- stop)
 
 (* Earliest due time, [infinity] when idle — the horizon input of the
    conservative window computation. *)
@@ -429,4 +398,3 @@ let next_time engine =
 let pending engine = engine.queued
 let events_processed engine = engine.processed
 let max_heap_depth engine = engine.depth_max
-let wall_cpu_seconds engine = engine.wall_spent

@@ -5,7 +5,8 @@
     and {e broadcast} rings that links and segments push packets into —
     one outstanding queue entry per ring, re-armed from the ring head, so
     steady-state packet delivery schedules without allocating. All netsim
-    components (links, nodes, applications) share one engine.
+    components (links, nodes, applications) of one partition share one
+    engine.
 
     Ordering is identical to scheduling every packet individually: each
     ring push reserves a global sequence number at push time, and the
@@ -79,25 +80,31 @@ val push_broadcast :
 
 val broadcast_backlog : broadcast -> int
 
-(** {2 Running} *)
+(** {2 Running}
 
-(** [run engine] processes events until the queue drains.
-    @raise Invalid_argument if more than [limit] events fire (default 100M),
-    which indicates a runaway simulation. *)
-val run : ?limit:int -> t -> unit
-
-(** [run_until engine ~stop] processes events with time [<= stop], then sets
-    the clock to [stop]. Events scheduled later stay queued. *)
-val run_until : ?limit:int -> t -> stop:float -> unit
+    There is one event loop, {!run_window}; {!run} and {!run_until} are
+    epilogues over it. Simulations that arm monitors or shard across
+    domains are driven by {!Par_engine}, whose one-partition case runs
+    the same loop on this engine. *)
 
 (** [run_window engine ~stop] processes events with time strictly below
     [stop] ([<= stop] with [~inclusive:true]) and returns how many fired.
-    Unlike {!run_until} it neither flushes batched metrics nor advances
-    the clock to [stop] — it is the per-round primitive of the
-    partitioned parallel driver ({!Par_engine}), whose worker domains
+    It neither flushes batched metrics nor advances the clock to [stop]:
+    it is the per-round primitive of {!Par_engine}, whose worker domains
     must not touch the shared registry and whose later windows still push
-    cross-partition arrivals at times [>= stop]. *)
+    cross-partition arrivals at times [>= stop].
+    @raise Invalid_argument if more than [limit] events fire (default
+    100M), which indicates a runaway simulation. *)
 val run_window : ?limit:int -> ?inclusive:bool -> t -> stop:float -> int
+
+(** [run engine] is {!run_window} until the queue drains, then a flush of
+    batched metrics (also when an event raises). *)
+val run : ?limit:int -> t -> unit
+
+(** [run_until engine ~stop] is {!run_window} over events with time
+    [<= stop], then a flush and the clock set to [stop]. Events scheduled
+    later stay queued. *)
+val run_until : ?limit:int -> t -> stop:float -> unit
 
 (** [next_time engine] is the earliest queued event time, [infinity] when
     the queue is empty — the horizon input of the conservative window
@@ -114,9 +121,9 @@ val on_flush : t -> (unit -> unit) -> unit
 
 (** [flush engine] runs the batched-metrics flush on demand — the event
     counter push plus every [on_flush] hook — so registry values are
-    exact mid-run. Condition monitors call this at the top of each probe
-    tick before sampling; costs one list walk, nothing when no component
-    has batched anything since the last flush. *)
+    exact mid-run. {!Par_engine} flushes every partition this way before
+    a pacer (a monitor tick) fires; costs one list walk, nothing when no
+    component has batched anything since the last flush. *)
 val flush : t -> unit
 
 (** [pending engine] is the number of queued events (timers plus every
@@ -132,9 +139,3 @@ val events_processed : t -> int
     network: a partitioned run keeps one queue per domain and cannot
     reproduce the sequential engine's instantaneous global peak. *)
 val max_heap_depth : t -> int
-
-(** [wall_cpu_seconds engine] is cpu time spent inside [run]/[run_until].
-    Exported as the *volatile* [netsim.engine.wall_cpu_s] gauge: it never
-    appears in deterministic exports and never influences simulation
-    behavior. *)
-val wall_cpu_seconds : t -> float

@@ -32,10 +32,15 @@
    between a cross-partition arrival and an unrelated local event, which
    may pop in either order (documented in SIMULATOR.md).
 
-   Error safety: a domain that raises keeps participating in barriers,
-   publishing [infinity], so the others drain and terminate instead of
-   deadlocking; the first error (by partition index) is re-raised on the
-   main domain after the join. *)
+   One partition is the sequential engine: the same rounds run on the
+   calling domain alone, with nothing to exchange and an infinite
+   lookahead, so a run without pacers is a single window.
+
+   Error safety: the first error, from an event or a pacer, ends the run
+   at the next barrier.  No later window is granted and no later pacer
+   fires; the other domains leave the loop, metrics are flushed, and the
+   first error (by partition index) is re-raised on the calling domain
+   after the join. *)
 
 type conduit = {
   c_link : Link.t;
@@ -82,6 +87,7 @@ type t = {
   mutable p_limit : int;
   mutable p_pacers : pacer list; (* registration order *)
   p_errors : exn option array;
+  p_cpu : float ref; (* process cpu seconds inside drives *)
   p_stalls : int array; (* rounds where a partition fired no event *)
   mutable s_rounds : int;
   mutable s_nulls : int;
@@ -98,9 +104,9 @@ type t = {
 
 let default_limit = 100_000_000
 
-(* The sync counters describe how the run was executed — they exist only
-   when domains > 1 and vary with the domain count — so, like wall-clock
-   timings, they are volatile and never appear in deterministic exports. *)
+(* The sync counters describe how the run was executed and vary with the
+   domain count, so, like wall-clock timings, they are volatile and never
+   appear in deterministic exports. *)
 let par_counters () =
   let c help name = Obs.Registry.counter ~volatile:true ~help name in
   ( c "synchronization rounds (window barriers)" "netsim.par.rounds",
@@ -115,6 +121,12 @@ let make ~parts ~engines ~topo ~owner ~lookahead ~conduits =
           (List.filter (fun c -> c.c_dst = p) (Array.to_list conduits)))
   in
   let m_rounds, m_nulls, m_stalls, m_cross = par_counters () in
+  let cpu = ref 0.0 in
+  Obs.Registry.set_fn
+    (Obs.Registry.gauge ~volatile:true
+       ~help:"process cpu seconds spent inside run/run_until"
+       "netsim.engine.wall_cpu_s")
+    (fun () -> !cpu);
   {
     p_parts = parts;
     p_engines = engines;
@@ -134,6 +146,7 @@ let make ~parts ~engines ~topo ~owner ~lookahead ~conduits =
     p_limit = default_limit;
     p_pacers = [];
     p_errors = Array.make parts None;
+    p_cpu = cpu;
     p_stalls = Array.make parts 0;
     s_rounds = 0;
     s_nulls = 0;
@@ -180,13 +193,7 @@ let register_reductions engines conduits =
        "netsim.engine.heap_depth_max")
     (fun () ->
       float_of_int
-        (Array.fold_left (fun acc e -> acc + Engine.max_heap_depth e) 0 engines));
-  Obs.Registry.set_fn
-    (gauge ~volatile:true ~help:"cpu seconds spent inside run/run_until"
-       "netsim.engine.wall_cpu_s")
-    (fun () ->
-      Array.fold_left (fun acc e -> acc +. Engine.wall_cpu_seconds e) 0.0
-        engines)
+        (Array.fold_left (fun acc e -> acc + Engine.max_heap_depth e) 0 engines))
 
 let create ~domains =
   if domains < 1 then invalid_arg "Par_engine.create: domains must be >= 1";
@@ -315,15 +322,18 @@ let next_due t =
       if pc.pc_next <= pc.pc_until then Float.min acc pc.pc_next else acc)
     Float.infinity t.p_pacers
 
-(* Runs with every partition quiescent — single-domain, or under
-   [p_mutex] by the last barrier arriver while the other workers are
-   parked on the condvar. While the global minimum next event time has
-   passed a pacer's due time [bt <= horizon], every engine clock is
-   forced to [bt] in partition-index order (publishing each partition's
-   batched metrics, exactly like the sequential [run_until] epilogue),
-   the due pacers fire in registration order, and any cross traffic they
-   caused is drained into the delivery rings so the next grant accounts
-   for it. Returns the post-fire global minimum next event time. *)
+let errored t = Array.exists Option.is_some t.p_errors
+
+(* Runs with every partition quiescent, under [p_mutex] by the last
+   barrier arriver while the other workers are parked on the condvar.
+   While the global minimum next event time has passed a pacer's due time
+   [bt <= horizon], every engine clock is forced to [bt] in
+   partition-index order (publishing each partition's batched metrics,
+   exactly like the sequential [run_until] epilogue), the due pacers fire
+   in registration order, and any cross traffic they caused is drained
+   into the delivery rings so the next grant accounts for it. A raising
+   pacer is recorded like a worker error, and no pacer fires after it.
+   Returns the post-fire global minimum next event time. *)
 let fire_due t ~horizon =
   let live_min () =
     Array.fold_left
@@ -332,22 +342,16 @@ let fire_due t ~horizon =
   in
   let rec go m =
     let bt = next_due t in
-    if bt < m && bt <= horizon then begin
+    if bt < m && bt <= horizon && not (errored t) then begin
       Array.iter
         (fun e -> Engine.run_until ~limit:t.p_limit e ~stop:bt)
         t.p_engines;
       List.iter
         (fun pc ->
-          if pc.pc_next = bt && pc.pc_next <= pc.pc_until then begin
+          if pc.pc_next = bt && pc.pc_next <= pc.pc_until && not (errored t)
+          then begin
             pc.pc_next <- pc.pc_next +. pc.pc_period;
-            (* Under the barrier a raising pacer would strand the other
-               domains on the condvar: record it like a worker error and
-               re-raise after the join. Single-domain, propagate. *)
-            if t.p_parts = 1 then pc.pc_fire ~now:bt
-            else
-              try pc.pc_fire ~now:bt
-              with e ->
-                if t.p_errors.(0) = None then t.p_errors.(0) <- Some e
+            try pc.pc_fire ~now:bt with e -> t.p_errors.(0) <- Some e
           end)
         t.p_pacers;
       Array.iter drain_conduit t.p_conduits;
@@ -370,6 +374,8 @@ let compute_window t mode =
      event at [<= its due time] is pending, so the plain horizon test
      also covers pacer exhaustion. *)
   let finished =
+    errored t
+    ||
     match mode with Drain -> !m = Float.infinity | Until stop -> !m > stop
   in
   if finished then t.p_running <- false
@@ -426,35 +432,28 @@ let barrier t compute =
     done;
   Mutex.unlock t.p_mutex
 
+(* One partition's round loop. A partition that raised is never driven
+   again: it only keeps arriving at the barriers until the grant that
+   follows its error ends the run. *)
 let worker t mode p =
   let engine = t.p_engines.(p) in
   let inbound = t.p_inbound.(p) in
-  let continue = ref true in
-  while !continue do
-    (match t.p_errors.(p) with
-    | Some _ ->
-        (* Keep granting time so the others can drain and terminate. *)
-        t.p_next.(p) <- Float.infinity
-    | None -> (
-        try
-          Array.iter drain_conduit inbound;
-          t.p_next.(p) <- Engine.next_time engine
-        with e ->
-          t.p_errors.(p) <- Some e;
-          t.p_next.(p) <- Float.infinity));
+  let guarded f =
+    if t.p_errors.(p) = None then
+      try f () with e -> t.p_errors.(p) <- Some e
+  in
+  while t.p_running do
+    guarded (fun () ->
+        Array.iter drain_conduit inbound;
+        t.p_next.(p) <- Engine.next_time engine);
     barrier t (fun () -> compute_window t mode);
-    if not t.p_running then continue := false
-    else begin
-      (match t.p_errors.(p) with
-      | Some _ -> ()
-      | None -> (
-          try
-            let fired =
-              Engine.run_window ~limit:t.p_limit ~inclusive:t.p_inclusive
-                engine ~stop:t.p_window
-            in
-            if fired = 0 then t.p_stalls.(p) <- t.p_stalls.(p) + 1
-          with e -> t.p_errors.(p) <- Some e));
+    if t.p_running then begin
+      guarded (fun () ->
+          let fired =
+            Engine.run_window ~limit:t.p_limit ~inclusive:t.p_inclusive
+              engine ~stop:t.p_window
+          in
+          if fired = 0 then t.p_stalls.(p) <- t.p_stalls.(p) + 1);
       (* End-of-window barrier: the next round's drain must only run once
          EVERY partition has finished this window — otherwise a fast
          partition drains early, misses a cross packet a slower producer
@@ -482,9 +481,8 @@ let publish_par_counters t =
   t.f_cross <- cross
 
 let finish t mode =
-  let errored = Array.exists Option.is_some t.p_errors in
   (match mode with
-  | Until stop when not errored ->
+  | Until stop when not (errored t) ->
       (* Queues hold only events past [stop]; this forces every clock to
          [stop] and runs each engine's flush (partition 0 carries every
          component's flush hook) — exactly what the sequential
@@ -494,55 +492,28 @@ let finish t mode =
   | Drain | Until _ -> Array.iter Engine.flush t.p_engines);
   publish_par_counters t
 
+(* Every run takes the round loop: partition 0 on the calling domain,
+   [parts - 1] spawned domains. One process-cpu reading brackets the
+   whole drive. *)
 let drive ?(limit = default_limit) t mode =
-  if t.p_parts = 1 then begin
-    t.p_limit <- limit;
-    let e = t.p_engines.(0) in
-    if t.p_pacers = [] then
-      match mode with
-      | Drain -> Engine.run ~limit e
-      | Until stop -> Engine.run_until ~limit e ~stop
-    else begin
-      (* Single-domain paced loop, equivalent to the barrier path: run
-         events up to each pacer's due time (inclusive, flushing batched
-         metrics), fire it, repeat — so paced runs are byte-identical
-         across domain counts. *)
-      let horizon =
-        match mode with Drain -> Float.infinity | Until stop -> stop
-      in
-      let rec loop () =
-        ignore (fire_due t ~horizon);
-        let due = next_due t in
-        if Float.is_finite due && due <= horizon then begin
-          Engine.run_until ~limit e ~stop:due;
-          loop ()
-        end
-        else
-          match mode with
-          | Drain -> Engine.run ~limit e
-          | Until stop -> Engine.run_until ~limit e ~stop
-      in
-      loop ()
-    end
-  end
-  else begin
-    t.p_limit <- limit;
-    t.p_running <- true;
-    t.p_arrived <- 0;
-    t.p_phase <- false;
-    Array.fill t.p_errors 0 t.p_parts None;
-    let spawned =
-      Array.init (t.p_parts - 1) (fun i ->
-          Domain.spawn (fun () -> worker t mode (i + 1)))
-    in
-    worker t mode 0;
-    Array.iter Domain.join spawned;
-    (* An errored partition stopped draining its inbound conduits; empty
-       them into the rings so pending counts stay meaningful. *)
-    Array.iter drain_conduit t.p_conduits;
-    finish t mode;
-    Array.iter (function Some e -> raise e | None -> ()) t.p_errors
-  end
+  let started = Sys.time () in
+  t.p_limit <- limit;
+  t.p_running <- true;
+  t.p_arrived <- 0;
+  t.p_phase <- false;
+  Array.fill t.p_errors 0 t.p_parts None;
+  let spawned =
+    Array.init (t.p_parts - 1) (fun i ->
+        Domain.spawn (fun () -> worker t mode (i + 1)))
+  in
+  worker t mode 0;
+  Array.iter Domain.join spawned;
+  (* An errored partition stopped draining its inbound conduits; empty
+     them into the rings so pending counts stay meaningful. *)
+  Array.iter drain_conduit t.p_conduits;
+  finish t mode;
+  t.p_cpu := !(t.p_cpu) +. (Sys.time () -. started);
+  Array.iter (function Some e -> raise e | None -> ()) t.p_errors
 
 let run ?limit t = drive ?limit t Drain
 let run_until ?limit t ~stop = drive ?limit t (Until stop)

@@ -1,4 +1,10 @@
-(** Deterministic parallel simulation across OCaml 5 domains.
+(** The simulation driver: deterministic conservative rounds over one or
+    more partitions, one OCaml 5 domain each.
+
+    Every run that arms a monitor or takes a domain count goes through
+    this driver; one partition is the sequential engine (the same round
+    loop on the calling domain, with nothing to exchange, so a run
+    without pacers is a single window).
 
     A built topology is cut into per-domain partitions ({!Partition});
     each partition runs its own {!Engine} calendar queue, and the domains
@@ -24,10 +30,10 @@
     {e before} any event is scheduled or packet injected; fault scenarios
     must be pinned into a single partition (see
     {!Faults.pin_targets}); multicast joins and route computation are
-    pre-run operations; and adaptation-plane monitors must be re-homed
-    onto window barriers with {!add_pacer} (engine-event ticks would run
-    inside one partition's window, reading the other partitions'
-    unflushed metrics).
+    pre-run operations. Periodic observers (adaptation monitors) are
+    pacers ({!add_pacer}), never engine events: an engine-event tick
+    would run inside one partition's window, reading the other
+    partitions' unflushed metrics.
     Packet uids are allocated from one atomic counter, so they are always
     unique, but their {e values} (visible in timeline exports) only match
     the sequential run when at most one partition constructs fresh
@@ -35,7 +41,11 @@
     re-emitting ASP partition satisfies this.
     The volatile [netsim.par.*] counters (rounds, null messages, horizon
     stalls, cross-partition packets) describe how the run was executed
-    and stay out of deterministic exports. *)
+    and stay out of deterministic exports; they exist, like the driver,
+    on one-partition runs too. The volatile [netsim.engine.wall_cpu_s]
+    gauge reads the process cpu time spent inside the last-created
+    driver's {!run}/{!run_until} calls, one [Sys.time] reading around
+    each drive (so on N domains it counts every domain's work). *)
 
 type t
 
@@ -45,7 +55,9 @@ type t
     engine and its flush hooks) and each direction of a cut link is
     rerouted through a conduit. [pin] forces the listed nodes into one
     partition (fault-scenario targets). With [domains = 1] nothing is
-    touched and runs stay byte-identical to the plain engine.
+    planned or re-homed, events may already be pending (the experiments
+    schedule application work before they build the driver), and runs
+    are byte-identical to the plain engine's.
 
     [Error] when [domains < 1], the engine already has pending events,
     the topology does not split into [domains] parts, or a cut link has
@@ -87,10 +99,12 @@ val engine_of : t -> Node.t -> Engine.t
     batched metrics exactly like the sequential [run_until] epilogue —
     so the callback observes a globally consistent registry; windows are
     clamped (inclusively) at due times so no partition runs past a fire
-    before it happens. Cross traffic the callback causes is drained into
-    the delivery rings before the next grant. Multiple pacers fire in
-    registration order. Runs with any domain count (including 1) are
-    byte-identical.
+    before it happens. So a pacer due at [T] fires after every event at
+    [<= T] on every partition — whether scheduled before or after the
+    pacer was added — and before any event later than [T]. Cross traffic
+    the callback causes is drained into the delivery rings before the
+    next grant. Multiple pacers fire in registration order. Runs with
+    any domain count (including 1) are byte-identical.
 
     During {!run} (drain mode) due pacers keep firing — advancing the
     clocks — even after the event queues empty, until [until] passes.
@@ -100,11 +114,16 @@ val engine_of : t -> Node.t -> Engine.t
 val add_pacer : t -> period:float -> until:float -> (now:float -> unit) -> unit
 
 (** [run t] processes events until every queue and conduit drains, like
-    {!Engine.run} — spawning [parts - 1] domains for the duration of the
-    call ([parts = 1] delegates directly). [limit] bounds each engine's
-    events per window. If a domain raises, the others drain safely and
-    the first error (by partition index) is re-raised here after metrics
-    are flushed. *)
+    {!Engine.run}: partition 0 runs on the calling domain and [parts - 1]
+    domains are spawned for the duration of the call. [limit] bounds each
+    engine's events per window.
+
+    The first error, from an event or from a pacer, ends the run at the
+    next barrier: no later window is granted, no later pacer fires (not
+    even one due at the same barrier), and the partition that raised is
+    not driven again. Metrics are then flushed, and the first error by
+    partition index (a pacer's counts as partition 0's) is re-raised
+    here. *)
 val run : ?limit:int -> t -> unit
 
 (** [run_until t ~stop] — like {!Engine.run_until}: events with time

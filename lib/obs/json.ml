@@ -124,7 +124,19 @@ let of_string s =
           | Some 'u' ->
               advance ();
               if !pos + 4 > n then fail "truncated \\u escape";
-              let code = int_of_string ("0x" ^ String.sub s !pos 4) in
+              (* Exactly four hex digits: [int_of_string] would also take
+                 a sign or underscores, and raise on anything else. *)
+              let digit i =
+                match s.[!pos + i] with
+                | '0' .. '9' as c -> Char.code c - Char.code '0'
+                | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                | _ -> fail "bad \\u escape"
+              in
+              let code =
+                (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4)
+                lor digit 3
+              in
               pos := !pos + 4;
               (* The printer only escapes control bytes, so a single byte
                  suffices here. *)

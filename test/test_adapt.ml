@@ -9,6 +9,7 @@ let () = Planp_runtime.Prims.install ()
 module Engine = Netsim.Engine
 module Node = Netsim.Node
 module Topology = Netsim.Topology
+module Par = Netsim.Par_engine
 module Faults = Netsim.Faults
 module Registry = Obs.Registry
 module Signal = Adapt.Signal
@@ -48,10 +49,11 @@ let signal_ewma () =
 (* ---------- monitor ---------- *)
 
 (* A counter bumped by scheduled events; the monitor must see exact
-   per-tick rates (including the Engine.flush of batched metrics, covered
-   end-to-end by the experiment tests below). *)
+   per-tick rates (including the driver's flush of batched metrics,
+   covered end-to-end by the experiment tests below). *)
 let monitor_ticks_and_rates () =
-  let engine = Engine.create () in
+  let par = Par.create ~domains:1 in
+  let engine = (Par.engines par).(0) in
   let registry = Registry.create () in
   let c = Registry.counter ~registry ~labels:[ ("t", "mon") ] "test.ticks" in
   (* +10 per second for the first 3 seconds. *)
@@ -59,7 +61,7 @@ let monitor_ticks_and_rates () =
     Engine.schedule engine ~at:(0.1 *. float_of_int i) (fun () ->
         Registry.incr c)
   done;
-  let mon = Monitor.create ~registry ~period:1.0 ~until:5.0 engine in
+  let mon = Monitor.create ~registry ~period:1.0 ~until:5.0 () in
   let rate = Monitor.watch mon ~alpha:1.0 ~name:"rate" (Monitor.Counter_rate c) in
   let direct =
     Monitor.watch mon ~alpha:1.0 ~name:"direct"
@@ -72,10 +74,10 @@ let monitor_ticks_and_rates () =
      with Invalid_argument _ -> true);
   let seen = ref [] in
   Monitor.on_tick mon (fun ~now -> seen := now :: !seen);
-  Monitor.start mon;
-  Monitor.start mon;
+  Monitor.start mon par;
+  Monitor.start mon par;
   (* idempotent *)
-  Engine.run engine;
+  Par.run par;
   check "five ticks in [1;5]" 5 (Monitor.ticks mon);
   check "hook ran every tick" 5 (List.length !seen);
   (* Last second is idle, so the unsmoothed rate ends at 0; the raw
@@ -173,7 +175,12 @@ let policy_parse_errors () =
   expect_line 1 "rule x: when s > 1 for 1 cooldown -3 do swap a b\n";
   expect_line 2 "alpha 0.5\nperiod inf\n";
   expect_line 1 "guard g window inf min-ratio 0.5\n";
-  expect_line 1 "guard g window 4 min-ratio nan\n"
+  expect_line 1 "guard g window 4 min-ratio nan\n";
+  (* A nan threshold compares false every tick: the rule could never
+     fire. *)
+  expect_line 1 "rule r: when x > nan for 0 do escalate a\n";
+  expect_line 2
+    "period 0.5\nrule r: when x < 1 and y >= nan for 0 do escalate a\n"
 
 let policy_empty () =
   checkb "empty is empty" true (Policy.is_empty Policy.empty);
@@ -251,14 +258,15 @@ let plane_guard_rollback_and_quarantine () =
       de_nak_quarantine = 3;
     }
   in
+  let par = Result.get_ok (Par.of_topology topo ~domains:1) in
   let plane =
     Plane.arm ~env
       ~active:[ ("prog", "good") ]
-      ~engine ~until:10.0
+      ~par ~until:10.0
       ~signals:[ ("kpi", Monitor.Sample (fun () -> !kpi)) ]
       policy
   in
-  Topology.run topo;
+  Par.run par;
   let stats = Plane.stats plane in
   check "rule fired exactly once" 1 stats.Plane.st_fired;
   check "one acknowledged swap" 1 stats.Plane.st_swaps;
@@ -320,14 +328,15 @@ let plane_hysteresis_suppresses_refire () =
       de_nak_quarantine = 3;
     }
   in
+  let par = Result.get_ok (Par.of_topology topo ~domains:1) in
   let plane =
     Plane.arm ~env
       ~active:[ ("prog", "v1") ]
-      ~engine:(Topology.engine topo) ~until:8.0
+      ~par ~until:8.0
       ~signals:[ ("x", Monitor.Sample (fun () -> 1.0)) ]
       policy
   in
-  Topology.run topo;
+  Par.run par;
   let stats = Plane.stats plane in
   check "single firing despite ~32 eligible ticks" 1 stats.Plane.st_fired;
   check "single swap" 1 stats.Plane.st_swaps;
@@ -336,7 +345,7 @@ let plane_hysteresis_suppresses_refire () =
     (Plane.active_variant plane "prog")
 
 let plane_requires_wired_signals () =
-  let engine = Engine.create () in
+  let par = Par.create ~domains:1 in
   let policy =
     match
       Policy.parse "rule r: when ghost > 1 for 1 do escalate boo\n"
@@ -346,12 +355,12 @@ let plane_requires_wired_signals () =
   in
   checkb "unwired signal rejected" true
     (try
-       ignore (Plane.arm ~engine ~until:1.0 ~signals:[] policy);
+       ignore (Plane.arm ~par ~until:1.0 ~signals:[] policy);
        false
      with Invalid_argument _ -> true)
 
 let plane_retune_and_escalate () =
-  let engine = Engine.create () in
+  let par = Par.create ~domains:1 in
   let tuned = ref [] and escalated = ref [] in
   let policy =
     match
@@ -364,13 +373,13 @@ let plane_retune_and_escalate () =
     | Error msg -> Alcotest.fail msg
   in
   let plane =
-    Plane.arm ~engine ~until:4.0
+    Plane.arm ~par ~until:4.0
       ~on_retune:(fun ~param ~value -> tuned := (param, value) :: !tuned)
       ~on_escalate:(fun ~reason -> escalated := reason :: !escalated)
       ~signals:[ ("x", Monitor.Sample (fun () -> 1.0)) ]
       policy
   in
-  Engine.run engine;
+  Par.run par;
   let stats = Plane.stats plane in
   Alcotest.(check (list (pair string (float 1e-9))))
     "retune delivered once" [ ("buffer", 0.25) ] !tuned;

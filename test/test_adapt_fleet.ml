@@ -194,10 +194,11 @@ let run_scenario sc =
     }
   in
   let registry = Registry.create () in
+  let par = Result.get_ok (Netsim.Par_engine.of_topology topo ~domains:1) in
   let plane =
     Plane.arm ~registry ~env
       ~active:[ ("prog", "v1") ]
-      ~engine ~until:(t0 +. 4.0)
+      ~par ~until:(t0 +. 4.0)
       ~signals:
         [
           ("cond", Monitor.Sample (fun () -> !cond));
@@ -205,7 +206,7 @@ let run_scenario sc =
         ]
       policy
   in
-  Topology.run topo;
+  Netsim.Par_engine.run par;
 
   (* The scenario's end state is deterministic: the swap sticks exactly
      when nothing NAKed it and the guard saw no regression. *)

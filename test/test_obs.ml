@@ -272,6 +272,27 @@ let json_float_repr () =
   checks "nan is null" "null" (Obs.Json.float_repr Float.nan);
   checks "fractional stable" "0.1" (Obs.Json.float_repr 0.1)
 
+(* A \u escape takes exactly four hex digits; anything else is a typed
+   error, never an exception. *)
+let json_unicode_escapes () =
+  let reads text =
+    match Obs.Json.of_string text with
+    | Ok (Obs.Json.String s) -> Some s
+    | Ok _ | Error _ -> None
+  in
+  Alcotest.(check (option string)) "four hex digits" (Some "\001A")
+    (reads {|"\u0001\u0041"|});
+  Alcotest.(check (option string)) "upper-case hex" (Some "\031")
+    (reads {|"\u001F"|});
+  List.iter
+    (fun text ->
+      match Obs.Json.of_string text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" text
+      | exception e ->
+          Alcotest.failf "%s raised %s" text (Printexc.to_string e))
+    [ {|"\uZZZZ"|}; {|"\u+123"|}; {|"\u_123"|}; {|"\u12"|}; {|"\u12 x"|} ]
+
 (* --- timeline -------------------------------------------------------- *)
 
 let timeline_merge_stable () =
@@ -402,6 +423,7 @@ let () =
           Alcotest.test_case "snapshot sorted" `Quick snapshot_sorted;
           Alcotest.test_case "csv rows" `Quick csv_rows;
           Alcotest.test_case "float repr" `Quick json_float_repr;
+          Alcotest.test_case "json unicode escapes" `Quick json_unicode_escapes;
           Alcotest.test_case "timeline merge stable" `Quick timeline_merge_stable;
           Alcotest.test_case "timeline json" `Quick timeline_json;
           Alcotest.test_case "deterministic run export" `Quick export_deterministic;

@@ -35,6 +35,13 @@ let contains haystack needle =
 let metrics () = Registry.to_json_string Registry.default
 let reset () = Registry.reset Registry.default
 
+(* The random parity property runs [prop_scale] times its case count when
+   PLANP_PROP_SCALE is set (CI's release job sets 10). *)
+let prop_scale =
+  match Option.bind (Sys.getenv_opt "PLANP_PROP_SCALE") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
 (* ------------------------------------------------------------------ *)
 (* Shared builder: [islands] stars of [1 + hosts] nodes, bridged
    router-to-router in a chain by higher-latency links.  Latencies are
@@ -248,12 +255,123 @@ let par_error_reraised () =
    with Failure m -> checks "the worker's exception" "boom" m);
   checkb "partition 0 still made progress" true (!c0 > 0)
 
+(* Partition 0 busy with a timer every 50 ms up to 1 s. *)
+let busy_driver parts =
+  let par = Par.create ~domains:parts in
+  for k = 1 to 20 do
+    Engine.schedule (Par.engines par).(0) ~at:(0.05 *. float_of_int k) ignore
+  done;
+  par
+
+let run_raises par ~stop expected =
+  match Par.run_until par ~stop with
+  | () -> Alcotest.fail "the error was swallowed"
+  | exception Failure m -> checks "the first error is re-raised" expected m
+
+(* An event error ends the run at the next barrier and no pacer fires
+   after it, whether or not the partition that raised still has events
+   queued: a queued event must not hold the pacers back forever, and an
+   empty queue must not let the others run on to the stop time. *)
+let par_event_error_ends_run parts ~queued_after () =
+  let par = busy_driver parts in
+  let fires = ref 0 in
+  Par.add_pacer par ~period:0.1 ~until:1.0 (fun ~now:_ -> incr fires);
+  let last = (Par.engines par).(parts - 1) in
+  Engine.schedule last ~at:0.01 (fun () -> failwith "boom");
+  if queued_after then Engine.schedule last ~at:0.15 ignore;
+  run_raises par ~stop:1.0 "boom";
+  check "no pacer fired after the error" 0 !fires
+
+(* A raising pacer ends the run the same way: the pacer registered after
+   it does not fire at that barrier, and nothing fires later. *)
+let par_pacer_error_ends_run parts () =
+  let par = busy_driver parts in
+  let fires = ref 0 and seen = ref [] in
+  Par.add_pacer par ~period:0.1 ~until:1.0 (fun ~now:_ ->
+      incr fires;
+      if !fires = 3 then failwith "pacer");
+  Par.add_pacer par ~period:0.1 ~until:1.0 (fun ~now -> seen := now :: !seen);
+  run_raises par ~stop:1.0 "pacer";
+  Alcotest.(check (list (float 1e-9)))
+    "the second pacer fired only before the error" [ 0.1; 0.2 ]
+    (List.rev !seen);
+  checkf "the run stopped at the failing fire" 0.3 (Par.now par)
+
+let link_tx name =
+  List.fold_left
+    (fun acc dir ->
+      acc
+      + Option.value ~default:0
+          (Registry.read_counter
+             ~labels:[ ("link", name); ("dir", dir) ]
+             "netsim.link.tx_packets"))
+    0 [ "a_to_b"; "b_to_a" ]
+
+(* What a pacer due at T sees, at any part count: every event at T has
+   run on every partition, scheduled before or after the pacer was added,
+   and no later event has; every engine clock reads T; every partition's
+   batched counters are in the registry. *)
+let pacer_timing parts () =
+  reset ();
+  let par = Par.create ~domains:parts in
+  let engines = Par.engines par in
+  let name i = Printf.sprintf "pace%d" i in
+  let sent = Array.mapi (fun i e -> raw_ping_pong e (name i)) engines in
+  let ran = Array.map (fun _ -> ref []) engines in
+  let mark at label =
+    Array.iteri
+      (fun i e ->
+        Engine.schedule e ~at (fun () -> ran.(i) := label :: !(ran.(i))))
+      engines
+  in
+  mark 1.0 "before";
+  let fired = ref 0 in
+  Par.add_pacer par ~period:1.0 ~until:1.0 (fun ~now ->
+      incr fired;
+      checkf "fires at 1.0" 1.0 now;
+      Array.iteri
+        (fun i e ->
+          checkf "engine clock at the fire" 1.0 (Engine.now e);
+          Alcotest.(check (list string))
+            "both 1.0 timers ran, the later one did not" [ "after"; "before" ]
+            (List.sort compare !(ran.(i)));
+          check "tx_packets flushed" !(sent.(i)) (link_tx (name i)))
+        engines);
+  mark 1.0 "after";
+  mark (1.0 +. 1e-6) "late";
+  Par.run_until par ~stop:1.5;
+  check "the pacer fired once" 1 !fired;
+  Array.iter
+    (fun r ->
+      checkb "the later timer ran after the fire" true (List.mem "late" !r))
+    ran
+
+(* [netsim.engine.wall_cpu_s] is the process cpu time of the driver's
+   drives: nonzero, and never more than the cpu time around the call. *)
+let wall_cpu_gauge parts () =
+  let par = Par.create ~domains:parts in
+  Array.iteri
+    (fun i e -> ignore (raw_ping_pong e (Printf.sprintf "cpu%d" i)))
+    (Par.engines par);
+  let before = Sys.time () in
+  Par.run_until par ~stop:20.0;
+  let spent = Sys.time () -. before in
+  let gauge =
+    Option.value ~default:(-1.0)
+      (Registry.read_gauge "netsim.engine.wall_cpu_s")
+  in
+  checkb (Printf.sprintf "gauge %g > 0" gauge) true (gauge > 0.0);
+  checkb (Printf.sprintf "gauge %g <= %g around the call" gauge spent) true
+    (gauge <= spent)
+
 (* ------------------------------------------------------------------ *)
 (* Parity: partitioned runs equal the sequential engine byte-for-byte  *)
 
 (* One leg: fresh registry, fresh topology, workload installed after the
-   shard, faults pinned and armed on their owning partition's engine. *)
-let parity_leg ~islands ~hosts ?scenario ~domains ~stop () =
+   shard, faults pinned and armed on their owning partition's engine.
+   Without [domains] it is the reference leg: no driver at all, the plain
+   engine's [Topology.run_until]. *)
+let parity_leg ~islands ~hosts ?scenario ?domains ~stop () =
   reset ();
   let topo, routers, members = islands_topo ~islands ~hosts () in
   let pin =
@@ -261,26 +379,31 @@ let parity_leg ~islands ~hosts ?scenario ~domains ~stop () =
     | None -> []
     | Some sc -> or_fail (Faults.pin_targets topo sc)
   in
-  let domains = min domains (Partition.max_parts ~pin topo) in
-  let par = or_fail (Par.of_topology ~pin topo ~domains) in
+  let par =
+    Option.map
+      (fun domains ->
+        let domains = min domains (Partition.max_parts ~pin topo) in
+        or_fail (Par.of_topology ~pin topo ~domains))
+      domains
+  in
   (match scenario with
   | None -> ()
   | Some sc ->
       let engine =
-        match pin with
-        | first :: _ when domains > 1 -> Some (Par.engine_of par first)
+        match (pin, par) with
+        | first :: _, Some par -> Some (Par.engine_of par first)
         | _ -> None
       in
       ignore (Faults.arm ?engine topo sc : Faults.handle));
   let received = install_workload routers members in
-  Par.run_until par ~stop;
+  (match par with
+  | None -> Topology.run_until topo ~stop
+  | Some par -> Par.run_until par ~stop);
   (metrics (), Atomic.get received)
 
 let assert_parity ~islands ~hosts ?scenario ~stop () =
-  let base, base_received =
-    parity_leg ~islands ~hosts ?scenario ~domains:1 ~stop ()
-  in
-  checkb "sequential leg did work" true (base_received > 0);
+  let base, base_received = parity_leg ~islands ~hosts ?scenario ~stop () in
+  checkb "plain engine leg did work" true (base_received > 0);
   List.iter
     (fun domains ->
       let m, received =
@@ -290,7 +413,7 @@ let assert_parity ~islands ~hosts ?scenario ~stop () =
       check
         (Printf.sprintf "delivery parity at %d domains" domains)
         base_received received)
-    [ 2; 4 ]
+    [ 1; 2; 4 ]
 
 let parity_plain () = assert_parity ~islands:3 ~hosts:2 ~stop:0.2 ()
 
@@ -317,7 +440,8 @@ let parity_with_faults () =
 (* The QCheck sweep: random shapes, random fault windows, every legal
    domain count — the metrics export must never depend on the sharding. *)
 let parity_prop =
-  Q.Test.make ~name:"par: random topology/faults metrics parity" ~count:20
+  Q.Test.make ~name:"par: random topology/faults metrics parity"
+    ~count:(20 * prop_scale)
     Q.(triple (int_range 2 4) (int_range 1 3) (int_range 0 2))
     (fun (islands, hosts, fault) ->
       let scenario =
@@ -346,16 +470,14 @@ let parity_prop =
                    };
                  ])
       in
-      let base, _ =
-        parity_leg ~islands ~hosts ?scenario ~domains:1 ~stop:0.12 ()
-      in
+      let base, _ = parity_leg ~islands ~hosts ?scenario ~stop:0.12 () in
       List.for_all
         (fun domains ->
           let m, _ =
             parity_leg ~islands ~hosts ?scenario ~domains ~stop:0.12 ()
           in
           String.equal base m)
-        [ 2; 4 ])
+        [ 1; 2; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Experiment-shaped pinned parity: the paper's three topologies        *)
@@ -612,7 +734,7 @@ let adapt_shape_parity () =
     let plane =
       Adapt.Plane.arm ~env ~par
         ~active:[ ("prog", "default") ]
-        ~engine:(Topology.engine topo) ~until:4.0
+        ~until:4.0
         ~signals:
           [ ("load", Adapt.Monitor.Rate_of (fun () -> float_of_int !seen)) ]
         policy
@@ -659,7 +781,23 @@ let () =
           Alcotest.test_case "drain mode empties" `Quick par_drain_empties;
           Alcotest.test_case "worker errors re-raise" `Quick
             par_error_reraised;
-        ] );
+        ]
+        @ List.concat_map
+            (fun parts ->
+              let case name f =
+                Alcotest.test_case (Printf.sprintf "%s, %d part(s)" name parts)
+                  `Quick (f parts)
+              in
+              [
+                case "event error ends the run"
+                  (par_event_error_ends_run ~queued_after:true);
+                case "event error fires no pacer"
+                  (par_event_error_ends_run ~queued_after:false);
+                case "pacer error ends the run" par_pacer_error_ends_run;
+                case "pacer timing" pacer_timing;
+                case "cpu gauge" wall_cpu_gauge;
+              ])
+            [ 1; 2 ] );
       ( "parity",
         [
           Alcotest.test_case "plain islands" `Quick parity_plain;

@@ -1302,6 +1302,107 @@ let frontend_mutation_fuzz =
           true
       | Error _ -> true)
 
+(* ---------- decoders: any bytes give a typed error ---------- *)
+
+(* Random bytes, and mutations of 1-4 bytes or truncations of a valid
+   input: what each decoder property below feeds its decoder. *)
+let near_valid valid =
+  let open Q.Gen in
+  let random = string_size ~gen:char (int_range 0 96) in
+  let mutated =
+    let* base = oneofl valid in
+    let* k = int_range 1 4 in
+    let+ edits =
+      list_repeat k (pair (int_bound (String.length base - 1)) char)
+    in
+    let bytes = Bytes.of_string base in
+    List.iter (fun (i, c) -> Bytes.set bytes i c) edits;
+    Bytes.to_string bytes
+  in
+  let truncated =
+    let* base = oneofl valid in
+    let+ len = int_bound (String.length base - 1) in
+    String.sub base 0 len
+  in
+  Q.make ~print:(Printf.sprintf "%S")
+    (frequency [ (1, random); (2, mutated); (1, truncated) ])
+
+let decoder_property ~name ~count valid decodes =
+  Q.Test.make ~name ~count:(count * prop_scale) (near_valid valid)
+    (fun input ->
+      match decodes input with
+      | (_ : bool) -> true
+      | exception e ->
+          Q.Test.fail_reportf "%S raised %s" input (Printexc.to_string e))
+
+let json_decoder_fuzz =
+  decoder_property ~name:"decoders: Obs.Json.of_string returns Ok or Error"
+    ~count:2000
+    [
+      {|{"a": [1, -2.5e3, true, false, null, "x\u0001\"y"], "b": {}}|};
+      {|[{"name": "netsim.engine.events", "value": 123456, "q": 0.25}]|};
+      Obs.Json.to_string
+        (Obs.Json.Obj
+           [
+             ("s", Obs.Json.String "tab\tctl\001"); ("f", Obs.Json.Float 1.5);
+           ]);
+    ]
+    (fun input -> Result.is_ok (Obs.Json.of_string input))
+
+let policy_decoder_fuzz =
+  decoder_property ~name:"decoders: Adapt.Policy.parse returns Ok or Error"
+    ~count:2000
+    [
+      "# comment\nperiod 0.25\nalpha 0.6\n\n\
+       rule degrade: when drop_rate > 5 and goodput < 40 for 1.5 cooldown 8 \
+       do swap audio-router conservative\n\
+       rule shed: when loss_rate >= 50 for 2 do undeploy mpeg-filter\n\
+       rule tune: when queue_delay > 0.25 for 1 do retune buffer 0.5\n\
+       rule bail: when retry_rate > 20 for 5 do escalate \"retry storm\"\n\
+       guard goodput window 4 min-ratio 0.5\n";
+      "period 0.5\nrule r: when x <= 1e3 for 0 do escalate a\n";
+    ]
+    (fun input -> Result.is_ok (Adapt.Policy.parse input))
+
+let capsule_decoder_fuzz =
+  let module C = Deploy.Capsule in
+  let addr = Netsim.Addr.of_string "10.0.0.9" in
+  let valid =
+    List.map
+      (fun msg -> Netsim.Payload.to_string (C.encode msg))
+      [
+        C.Manifest
+          {
+            program = "audio";
+            epoch = 7;
+            backend = "jit";
+            total_chunks = 3;
+            total_bytes = 1200;
+            checksum = C.checksum "xyz";
+            authenticated = true;
+            reply_addr = addr;
+            reply_port = 52001;
+          };
+        C.Chunk { program = "audio"; epoch = 7; index = 2; data = "ab\000c" };
+        C.Undeploy
+          { program = "p"; epoch = 3; reply_addr = addr; reply_port = 52003 };
+        C.Rollback
+          { program = "p"; epoch = 4; reply_addr = addr; reply_port = 52003 };
+        C.Ack
+          {
+            program = "p";
+            epoch = 4;
+            signature = C.sign ~secret:"s" ~program:"p" ~epoch:4 ~node:addr;
+            install_latency_us = 1234;
+            note = "activated";
+          };
+        C.Nak { program = "p"; epoch = 4; reason = "stale" };
+      ]
+  in
+  decoder_property ~name:"decoders: Deploy.Capsule.decode returns Some or None"
+    ~count:3000 valid
+    (fun input -> Option.is_some (C.decode (Netsim.Payload.of_string input)))
+
 let flowstat_rate_nonnegative =
   Q.Test.make ~name:"flowstat: rate is nonnegative and bounded by input"
     ~count:200
@@ -1338,6 +1439,9 @@ let () =
         codec_decoder_matches_reference;
         frontend_fuzz;
         frontend_mutation_fuzz;
+        json_decoder_fuzz;
+        policy_decoder_fuzz;
+        capsule_decoder_fuzz;
         flowstat_rate_nonnegative;
       ])
   in
