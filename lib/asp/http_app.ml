@@ -11,17 +11,20 @@ let file_size file_id =
   Int.max 256 (Int.min 262_144 (int_of_float size))
 
 module Trace = struct
-  type t = { mutable ids : int list; mutable count : int }
+  (* The ids still to come. A generated trace draws each id from its own
+     [Rng] when it is pulled, in the order an eager draw would take. *)
+  type t = { mutable ids : int Seq.t; mutable count : int }
 
   let generate ?(alpha = 0.9) ~requests ~files ~seed () =
     let rng = Rng.create ~seed in
-    let ids = List.init requests (fun _ -> Rng.zipf rng ~n:files ~alpha) in
-    { ids; count = requests }
+    { ids = Seq.init requests (fun _ -> Rng.zipf rng ~n:files ~alpha); count = requests }
 
+  (* Each node of [ids] is forced exactly once: a generated node draws
+     from the [Rng] every time it is forced. *)
   let pull trace =
-    match trace.ids with
-    | [] -> None
-    | id :: rest ->
+    match trace.ids () with
+    | Seq.Nil -> None
+    | Seq.Cons (id, rest) ->
         trace.ids <- rest;
         trace.count <- trace.count - 1;
         Some id
@@ -29,8 +32,13 @@ module Trace = struct
   let remaining trace = trace.count
 
   let save trace path =
+    let ids = List.of_seq trace.ids in
+    trace.ids <- List.to_seq ids;
     let oc = open_out path in
-    List.iter (fun id -> output_string oc (string_of_int id ^ "\n")) trace.ids;
+    (try List.iter (fun id -> output_string oc (string_of_int id ^ "\n")) ids
+     with e ->
+       close_out_noerr oc;
+       raise e);
     close_out oc
 
   let load path =
@@ -44,9 +52,13 @@ module Trace = struct
            | Some id -> ids := id :: !ids
            | None -> failwith (Printf.sprintf "Trace.load: bad line %S" line)
        done
-     with End_of_file -> close_in ic);
+     with
+     | End_of_file -> close_in ic
+     | e ->
+         close_in_noerr ic;
+         raise e);
     let ids = List.rev !ids in
-    { ids; count = List.length ids }
+    { ids = List.to_seq ids; count = List.length ids }
 end
 
 (* ---------- server ---------- *)

@@ -19,18 +19,23 @@ val file_size : int -> int
 module Trace : sig
   type t
 
-  (** [generate ~requests ~files ~seed ()] draws [requests] Zipf(0.9)
-      samples over [files] files. *)
+  (** [generate ~requests ~files ~seed ()] is a trace of [requests]
+      Zipf(0.9) samples over [files] files. Each id is drawn when it is
+      pulled, from the trace's own generator and in the same order as
+      drawing them all up front, so a run pays only for the ids it uses. *)
   val generate : ?alpha:float -> requests:int -> files:int -> seed:int -> unit -> t
 
   (** [pull trace] is the next file id; [None] when exhausted. *)
   val pull : t -> int option
 
+  (** [remaining trace] is the number of ids [pull] will still return. *)
   val remaining : t -> int
 
   (** [save trace path] / [load path] — one decimal file id per line, the
     format of the paper-era access logs after URL interning; lets users
-    replay their own traces instead of the synthetic one.
+    replay their own traces instead of the synthetic one. [save] writes
+    the remaining ids (drawing the rest of a generated trace) and leaves
+    them to be pulled. Both close their channel on every exit.
     @raise Sys_error on IO failure, [Failure] on a malformed line. *)
   val save : t -> string -> unit
 

@@ -189,17 +189,38 @@ module Wire = struct
     Bytes.set_uint16_be out 5 frames;
     out
 
-  (* [to_mono16]'s sample for frame [i] of a [quality] body at [src]. *)
-  let[@inline] mono16_at quality base src i =
-    match quality with
-    | Stereo16 ->
-        (String.get_int16_be base (src + (4 * i))
-        + String.get_int16_be base (src + (4 * i) + 2))
-        / 2
-    | Mono16 -> String.get_int16_be base (src + (2 * i))
-    | Mono8 -> String.get_int8 base (src + i) lsl 8
+  (* Unchecked 16- and 32-bit access in native byte order. Each use
+     below sits after a check that covers it, named at the use. *)
+  external get16u : string -> int -> int = "%caml_string_get16u"
+  external set16u : bytes -> int -> int -> unit = "%caml_bytes_set16u"
+  external get32u : string -> int -> int32 = "%caml_string_get32u"
+  external swap16 : int -> int = "%bswap16"
+  external swap32 : int32 -> int32 = "%bswap_int32"
+
+  (* The low 16 bits of [raw] as a signed sample, without a branch. *)
+  let[@inline] low16 raw = (raw lsl (Sys.int_size - 16)) asr (Sys.int_size - 16)
+
+  (* [v] as a big-endian 16-bit sample at [i] of [b]. *)
+  let[@inline] set_be b i v =
+    if Sys.big_endian then set16u b i v else set16u b i (swap16 v)
+
+  (* The one range check per frame that the unchecked reads below rely
+     on: the body [off + 7, off + 7 + bytes_per_frame quality * frames)
+     lies inside [base]. [header] already accepted exactly that length,
+     so this only fails if the two disagree. *)
+  let check_body base off quality frames =
+    if off < 0 || off + 7 + (bytes_per_frame quality * frames) > String.length base
+    then invalid_arg "Audio_frame.Wire: frame body outside its backing string"
 
   let finish out = Payload.of_string (Bytes.unsafe_to_string out)
+
+  (* [to_mono16]'s average of the stereo pair at [at], read as one
+     big-endian word: left in the high half, right in the low. [/ 2]
+     truncates toward zero, as the reference does. *)
+  let[@inline] stereo_mean base at =
+    let raw = get32u base at in
+    let pair = Int32.to_int (if Sys.big_endian then raw else swap32 raw) in
+    ((pair asr 16) + low16 pair) / 2
 
   let degrade payload target =
     match header payload with
@@ -209,14 +230,30 @@ module Wire = struct
         if quality_code target <= quality_code quality then Some payload
         else begin
           let base, off = Payload.backing payload in
+          check_body base off quality frames;
           let src = off + 7 in
+          (* [blank] sizes [out] to [7 + bytes_per_frame target * frames],
+             so every write below is in range. *)
           let out = blank base off target frames in
-          for i = 0 to frames - 1 do
-            let sample = mono16_at quality base src i in
-            match target with
-            | Mono8 -> Bytes.set_int8 out (7 + i) (sample asr 8)
-            | Stereo16 | Mono16 -> Bytes.set_int16_be out (7 + (2 * i)) sample
-          done;
+          (match (quality, target) with
+          | Stereo16, Mono16 ->
+              for i = 0 to frames - 1 do
+                (* reads covered by [check_body] on [quality] *)
+                set_be out (7 + (2 * i)) (stereo_mean base (src + (4 * i)))
+              done
+          | Stereo16, Mono8 ->
+              for i = 0 to frames - 1 do
+                (* reads covered by [check_body] on [quality] *)
+                let sample = stereo_mean base (src + (4 * i)) in
+                Bytes.unsafe_set out (7 + i) (Char.unsafe_chr ((sample asr 8) land 0xff))
+              done
+          | Mono16, Mono8 ->
+              (* [sample asr 8] of a big-endian sample is its first byte. *)
+              for i = 0 to frames - 1 do
+                (* read covered by [check_body] on [quality] *)
+                Bytes.unsafe_set out (7 + i) (String.unsafe_get base (src + (2 * i)))
+              done
+          | _ -> assert false (* not a strictly lower target *));
           Some (finish out)
         end
 
@@ -226,14 +263,46 @@ module Wire = struct
     | Some { quality = Stereo16; _ } -> Some payload
     | Some { quality; frames; _ } ->
         let base, off = Payload.backing payload in
+        check_body base off quality frames;
         let src = off + 7 in
+        (* [blank] sizes [out] to [7 + 4 * frames], so every write below
+           is in range. *)
         let out = blank base off Stereo16 frames in
-        for i = 0 to frames - 1 do
-          let sample = mono16_at quality base src i in
-          Bytes.set_int16_be out (7 + (4 * i)) sample;
-          Bytes.set_int16_be out (9 + (4 * i)) sample
-        done;
+        (match quality with
+        | Mono16 ->
+            (* Both channels get the sample's two bytes unchanged, so no
+               byte swap is needed. *)
+            for i = 0 to frames - 1 do
+              (* read covered by [check_body] on [Mono16] *)
+              let raw = get16u base (src + (2 * i)) in
+              set16u out (7 + (4 * i)) raw;
+              set16u out (9 + (4 * i)) raw
+            done
+        | Mono8 ->
+            for i = 0 to frames - 1 do
+              (* read covered by [check_body] on [Mono8] *)
+              let sample = Char.code (String.unsafe_get base (src + i)) lsl 8 in
+              set_be out (7 + (4 * i)) sample;
+              set_be out (9 + (4 * i)) sample
+            done
+        | Stereo16 -> assert false (* returned above *));
         Some (finish out)
+
+  (* [synth]'s stereo stream repeats every lcm(200, 37) samples: the
+     periods of [triangle] and [wobble]. [period] holds that many samples
+     as wire bytes, from sample 0. *)
+  let period_samples = 200 * 37
+
+  let sample_bytes n out at =
+    Bytes.set_int16_be out at (clamp16 (triangle n + wobble n));
+    Bytes.set_int16_be out (at + 2) (clamp16 (triangle n - wobble n))
+
+  let period =
+    let out = Bytes.create (4 * period_samples) in
+    for n = 0 to period_samples - 1 do
+      sample_bytes n out (4 * n)
+    done;
+    Bytes.unsafe_to_string out
 
   let synth ~seq ~frames ~phase =
     let out = Bytes.create (7 + (4 * frames)) in
@@ -241,10 +310,22 @@ module Wire = struct
     Bytes.set_uint16_be out 2 (seq land 0xffff);
     Bytes.set_uint8 out 4 (quality_code Stereo16);
     Bytes.set_uint16_be out 5 (frames land 0xffff);
-    for i = 0 to frames - 1 do
-      let n = phase + i in
-      Bytes.set_int16_be out (7 + (4 * i)) (clamp16 (triangle n + wobble n));
-      Bytes.set_int16_be out (9 + (4 * i)) (clamp16 (triangle n - wobble n))
+    (* One blit per stretch of [period] the frame covers. *)
+    let i = ref 0 in
+    while !i < frames do
+      let n = phase + !i in
+      if n < 0 then begin
+        (* [mod] is negative below 0, where the stream does not repeat
+           from [period]: those samples take the formula. *)
+        sample_bytes n out (7 + (4 * !i));
+        incr i
+      end
+      else begin
+        let k = n mod period_samples in
+        let run = Int.min (frames - !i) (period_samples - k) in
+        Bytes.blit_string period (4 * k) out (7 + (4 * !i)) (4 * run);
+        i := !i + run
+      end
     done;
     finish out
 end

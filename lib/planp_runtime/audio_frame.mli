@@ -67,7 +67,13 @@ val pp : Format.formatter -> t -> unit
 
 (** Frames as wire bytes. Every function accepts exactly the payloads
     {!decode} accepts and returns [None] on the rest; every result is
-    byte-equal to the reference round trip through {!t}. *)
+    byte-equal to the reference round trip through {!t}.
+
+    {!degrade} and {!restore} pick one loop per (source quality, target
+    quality) pair once per frame. Each checks once that the body
+    [[off + 7, off + 7 + bytes_per_frame quality * frames)] lies inside
+    the payload's backing string, then reads and writes every sample
+    without a bounds check. The result is always a fresh frame. *)
 module Wire : sig
   type header = { seq : int; quality : quality; frames : int }
 
@@ -77,14 +83,22 @@ module Wire : sig
 
   (** [degrade payload quality] is [encode (degrade (decode payload)
       quality)] in one pass over the samples. A target that is not lower
-      than the frame's quality returns [payload] itself. *)
+      than the frame's quality returns [payload] itself.
+      @raise Invalid_argument if the body the header accepted does not
+      lie inside the payload's backing string (the per-frame range
+      check; it cannot fail for a payload built by {!Netsim.Payload}). *)
   val degrade : Netsim.Payload.t -> quality -> Netsim.Payload.t option
 
   (** [restore payload] is [encode (restore (decode payload))] in one
-      pass; a [Stereo16] frame returns [payload] itself. *)
+      pass; a [Stereo16] frame returns [payload] itself.
+      @raise Invalid_argument as {!degrade}. *)
   val restore : Netsim.Payload.t -> Netsim.Payload.t option
 
-  (** [synth ~seq ~frames ~phase] is [encode (synth ~seq ~frames ~phase)],
-      written straight into the frame's bytes. *)
+  (** [synth ~seq ~frames ~phase] is [encode (synth ~seq ~frames ~phase)].
+      The test signal repeats every 7,400 samples (lcm of the triangle's
+      200 and the wobble's 37), so one period is built as wire bytes when
+      the module is initialized, and each frame is one copy from it per
+      period boundary it crosses. Samples at negative positions
+      ([phase + i < 0]) do not repeat and are computed one by one. *)
   val synth : seq:int -> frames:int -> phase:int -> Netsim.Payload.t
 end

@@ -125,6 +125,87 @@ let http_trace_file_roundtrip () =
   let replayed = List.init 50 (fun _ -> Option.get (Http_app.Trace.pull loaded)) in
   Alcotest.(check (list int)) "same ids in order" original replayed
 
+(* The trace as it was first built: every id drawn into a list before
+   the first pull. The on-demand trace must yield exactly these. *)
+let eager_trace ?(alpha = 0.9) ~requests ~files ~seed () =
+  let rng = Rng.create ~seed in
+  List.init requests (fun _ -> Rng.zipf rng ~n:files ~alpha)
+
+let pull_all trace =
+  List.init (Http_app.Trace.remaining trace) (fun _ ->
+      Option.get (Http_app.Trace.pull trace))
+
+let http_trace_matches_eager () =
+  List.iter
+    (fun (requests, files, alpha, seed) ->
+      let name =
+        Printf.sprintf "requests %d, files %d, alpha %g, seed %d" requests files
+          alpha seed
+      in
+      let trace = Http_app.Trace.generate ~alpha ~requests ~files ~seed () in
+      Alcotest.(check (list int))
+        name
+        (eager_trace ~alpha ~requests ~files ~seed ())
+        (pull_all trace);
+      checkb (name ^ ": exhausted") true (Option.is_none (Http_app.Trace.pull trace)))
+    [
+      (0, 10, 0.9, 1);
+      (1, 1, 0.9, 0);
+      (100, 10, 0.9, 1);
+      (1_000, 2_000, 0.9, 7);
+      (500, 50, 0.5, 42);
+      (2_000, 3, 1.5, 123_456);
+    ]
+
+let http_trace_counts_down () =
+  let trace = Http_app.Trace.generate ~requests:25 ~files:10 ~seed:3 () in
+  for left = 25 downto 1 do
+    check "remaining before a pull" left (Http_app.Trace.remaining trace);
+    checkb "pull yields an id" true (Option.is_some (Http_app.Trace.pull trace))
+  done;
+  check "remaining at the end" 0 (Http_app.Trace.remaining trace);
+  checkb "pull at the end" true (Option.is_none (Http_app.Trace.pull trace));
+  check "remaining stays 0" 0 (Http_app.Trace.remaining trace)
+
+let http_trace_save_after_pulls () =
+  let all = eager_trace ~requests:60 ~files:20 ~seed:5 () in
+  let trace = Http_app.Trace.generate ~requests:60 ~files:20 ~seed:5 () in
+  let pulled = List.init 17 (fun _ -> Option.get (Http_app.Trace.pull trace)) in
+  let rest = List.filteri (fun i _ -> i >= 17) all in
+  Alcotest.(check (list int)) "first pulls" (List.filteri (fun i _ -> i < 17) all) pulled;
+  let path = Filename.temp_file "trace" ".txt" in
+  Http_app.Trace.save trace path;
+  let written = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check string) "file holds the remaining ids"
+    (String.concat "" (List.map (Printf.sprintf "%d\n") rest))
+    written;
+  check "remaining unchanged by save" 43 (Http_app.Trace.remaining trace);
+  Alcotest.(check (list int)) "same ids pulled after save" rest (pull_all trace);
+  checkb "exhausted" true (Option.is_none (Http_app.Trace.pull trace))
+
+(* Open descriptors of this process, where the system lists them. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" && Sys.is_directory "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let http_trace_load_malformed () =
+  let path = Filename.temp_file "trace" ".txt" in
+  let oc = open_out path in
+  output_string oc "3\n 4 \n\nfive\n6\n";
+  close_out oc;
+  let before = open_fds () in
+  for _ = 1 to 3 do
+    match Http_app.Trace.load path with
+    | _ -> Alcotest.fail "a malformed line must raise"
+    | exception Failure msg ->
+        Alcotest.(check string) "names the line" "Trace.load: bad line \"five\"" msg
+  done;
+  let after = open_fds () in
+  Sys.remove path;
+  Alcotest.(check (option int)) "no descriptor left open" before after
+
 let http_end_to_end_small () =
   let topo = Topology.create () in
   let server_node = Topology.add_host topo "server" "10.0.0.1" in
@@ -408,6 +489,13 @@ let () =
           Alcotest.test_case "file sizes" `Quick http_file_sizes_deterministic;
           Alcotest.test_case "trace" `Quick http_trace;
           Alcotest.test_case "trace file roundtrip" `Quick http_trace_file_roundtrip;
+          Alcotest.test_case "trace matches eager generation" `Quick
+            http_trace_matches_eager;
+          Alcotest.test_case "trace counts down" `Quick http_trace_counts_down;
+          Alcotest.test_case "trace save after pulls" `Quick
+            http_trace_save_after_pulls;
+          Alcotest.test_case "trace load closes on a bad line" `Quick
+            http_trace_load_malformed;
           Alcotest.test_case "end to end" `Quick http_end_to_end_small;
           Alcotest.test_case "shared response body" `Quick
             http_shared_response_body;

@@ -15,9 +15,10 @@ module Audio_frame = Planp_runtime.Audio_frame
 
 let () = Planp_runtime.Prims.install ()
 
-(* The generated-program properties run [prop_scale] times their default
-   case count when PLANP_PROP_SCALE is set (CI's release job sets 10), so
-   a local [dune runtest] stays fast. *)
+(* The generated-program, decoder-fuzz and audio wire-kernel properties
+   run [prop_scale] times their default case count when PLANP_PROP_SCALE
+   is set (CI's release job sets 10), so a local [dune runtest] stays
+   fast. *)
 let prop_scale =
   match Option.bind (Sys.getenv_opt "PLANP_PROP_SCALE") int_of_string_opt with
   | Some n when n > 0 -> n
@@ -190,7 +191,7 @@ let audio_qualities = [ Audio_frame.Stereo16; Audio_frame.Mono16; Audio_frame.Mo
 
 let audio_wire_matches_reference =
   Q.Test.make ~name:"audio: wire kernels match the reference byte for byte"
-    ~count:2000 audio_payload_arb (fun input ->
+    ~count:(2000 * prop_scale) audio_payload_arb (fun input ->
       let p = audio_payload input in
       let reference = Audio_frame.decode p in
       (* Byte-equal to the reference round trip, and [p] itself when the
@@ -224,13 +225,32 @@ let audio_wire_matches_reference =
       && matches (Wire.restore p) Audio_frame.restore ~unchanged:(fun frame ->
              frame.Audio_frame.quality = Audio_frame.Stereo16))
 
+(* [Wire.synth] copies from one period of the stream, 7,400 samples
+   (lcm of the triangle's 200 and the wobble's 37), and takes the formula
+   below sample 0. A share of the phases puts a frame across one of
+   those seams: within [frames] of 0 or of a multiple of 7,400. *)
 let audio_wire_synth =
+  let gen =
+    let open Q.Gen in
+    let* seq = int in
+    let* frames = frequency [ (9, int_range 0 300); (1, int_range 65530 65540) ] in
+    let near anchor = map (fun d -> anchor + d) (int_range (-frames) frames) in
+    let+ phase =
+      frequency
+        [
+          (2, int_range (-100_000) 100_000);
+          (1, near 0);
+          (1, int_range (-13) 13 >>= fun m -> near (m * 7_400));
+        ]
+    in
+    (seq, frames, phase)
+  in
   Q.Test.make ~name:"audio: wire synth matches the reference encoding"
-    ~count:300
-    Q.(
-      triple int
-        (make Gen.(frequency [ (9, int_range 0 300); (1, int_range 65530 65540) ]))
-        (int_range (-100_000) 100_000))
+    ~count:(300 * prop_scale)
+    (Q.make
+       ~print:(fun (seq, frames, phase) ->
+         Printf.sprintf "seq %d, frames %d, phase %d" seq frames phase)
+       gen)
     (fun (seq, frames, phase) ->
       Payload.equal
         (Wire.synth ~seq ~frames ~phase)
@@ -240,7 +260,7 @@ let audio_wire_synth =
    same value, or BadAudio exactly where the reference rejects. *)
 let audio_prims_match_reference =
   Q.Test.make ~name:"audio: primitives raise BadAudio exactly where the reference rejects"
-    ~count:1000 audio_payload_arb (fun input ->
+    ~count:(1000 * prop_scale) audio_payload_arb (fun input ->
       let p = audio_payload input in
       let reference = Audio_frame.decode p in
       let world, _, _ = World.dummy () in
