@@ -1178,15 +1178,21 @@ type scale_point = {
   sp_events_per_s : float;
   sp_pkts_per_s : float;
   sp_words_per_event : float;
+  sp_walks_per_event : float;
+  sp_overflows_per_event : float;
 }
 
 (* Advance the simulation to [warmup_stop] (pools, rings and the calendar
-   wheel reach steady-state size), then measure events/sec, packets/sec
-   and minor words/event over the segment up to [stop]. *)
-let scale_measure ~warmup_stop ~stop ~sim ~events ~pkts =
+   wheel reach steady-state size), then measure events/sec, packets/sec,
+   minor words/event and the event queue's work per event (entries walked
+   past by sorted inserts, inserts sent to the overflow heap) over the
+   segment up to [stop]. *)
+let scale_measure ~warmup_stop ~stop ~sim ~events ~pkts ~engine =
   sim warmup_stop;
   let e0 = events () in
   let p0 = pkts () in
+  let q0 = Netsim.Engine.queue_walk_steps engine in
+  let o0 = Netsim.Engine.queue_overflow_inserts engine in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   sim stop;
@@ -1194,11 +1200,15 @@ let scale_measure ~warmup_stop ~stop ~sim ~events ~pkts =
   let de = events () - e0 in
   let dp = pkts () - p0 in
   let dw = Gc.minor_words () -. w0 in
+  let per_event n = float_of_int n /. float_of_int (max de 1) in
   {
     sp_events = de;
     sp_events_per_s = float_of_int de /. dt;
     sp_pkts_per_s = float_of_int dp /. dt;
     sp_words_per_event = dw /. float_of_int (max de 1);
+    sp_walks_per_event = per_event (Netsim.Engine.queue_walk_steps engine - q0);
+    sp_overflows_per_event =
+      per_event (Netsim.Engine.queue_overflow_inserts engine - o0);
   }
 
 (* N raw links, each ping-ponging one preallocated packet between its
@@ -1247,7 +1257,7 @@ let scale_flows ~flows =
     Float.max (float_of_int warm /. events_per_sim_s) 1.25
   in
   let stop = warmup_stop +. (float_of_int target /. events_per_sim_s) in
-  scale_measure ~warmup_stop ~stop
+  scale_measure ~warmup_stop ~stop ~engine
     ~sim:(fun stop -> Netsim.Engine.run_until engine ~stop)
     ~events:(fun () -> Netsim.Engine.events_processed engine)
     ~pkts:(fun () -> !sent)
@@ -1314,7 +1324,7 @@ let scale_fanout () =
   let warmup_stop =
     Float.max (float_of_int (ticks / 10) *. period) 1.5
   in
-  scale_measure ~warmup_stop ~stop:until
+  scale_measure ~warmup_stop ~stop:until ~engine
     ~sim:(fun stop -> Netsim.Topology.run_until topo ~stop)
     ~events:(fun () -> Netsim.Engine.events_processed engine)
     ~pkts:(fun () -> !sent)
@@ -1330,11 +1340,15 @@ let scale_json results =
                ("events_per_s", Obs.Json.Float p.sp_events_per_s);
                ("pkts_per_s", Obs.Json.Float p.sp_pkts_per_s);
                ("minor_words_per_event", Obs.Json.Float p.sp_words_per_event);
+               ("walk_steps_per_event", Obs.Json.Float p.sp_walks_per_event);
+               ( "overflow_inserts_per_event",
+                 Obs.Json.Float p.sp_overflows_per_event );
              ] ))
        results)
 
-(* Gate ONLY minor words/event: allocation counts are deterministic, while
-   events/sec measures the host machine and would make the gate flaky. *)
+(* Gate minor words/event and the event queue's work per event: all three
+   are deterministic, while events/sec measures the host machine and would
+   make the gate flaky. *)
 let scale_check_against ~baseline_path results =
   let fail = ref [] in
   let complain fmt = Printf.ksprintf (fun m -> fail := m :: !fail) fmt in
@@ -1357,12 +1371,11 @@ let scale_check_against ~baseline_path results =
       | Some entries ->
           List.iter
             (fun (key, point) ->
-              match
+              let base field =
                 Option.bind (Obs.Json.member key entries) (fun e ->
-                    Option.bind
-                      (Obs.Json.member "minor_words_per_event" e)
-                      Obs.Json.number)
-              with
+                    Option.bind (Obs.Json.member field e) Obs.Json.number)
+              in
+              (match base "minor_words_per_event" with
               | None -> complain "baseline has no words/event for scale/%s" key
               | Some base_words ->
                   (* +-25% relative plus two words of absolute slack: the
@@ -1372,7 +1385,26 @@ let scale_check_against ~baseline_path results =
                   if point.sp_words_per_event > ceiling then
                     complain
                       "scale/%s allocates %.3f words/event (baseline %.3f, ceiling %.3f)"
-                      key point.sp_words_per_event base_words ceiling)
+                      key point.sp_words_per_event base_words ceiling);
+              (* The queue counts repeat exactly run to run; +25% plus
+                 0.05 per event of slack catches a scheduler that starts
+                 walking its buckets or overflowing its wheel. *)
+              List.iter
+                (fun (field, what, value) ->
+                  match base field with
+                  | None -> complain "baseline has no %s for scale/%s" field key
+                  | Some base ->
+                      let ceiling = (base *. 1.25) +. 0.05 in
+                      if value > ceiling then
+                        complain
+                          "scale/%s makes %.3f %s per event (baseline %.3f, ceiling %.3f)"
+                          key value what base ceiling)
+                [
+                  ("walk_steps_per_event", "walk steps", point.sp_walks_per_event);
+                  ( "overflow_inserts_per_event",
+                    "overflow inserts",
+                    point.sp_overflows_per_event );
+                ])
             results));
   match !fail with
   | [] -> Printf.printf "\nscale gate: OK (baseline %s)\n" baseline_path
@@ -1389,12 +1421,13 @@ let scale () =
       [ 10; 100; 1000 ]
     @ [ ("fanout_tree", scale_fanout ()) ]
   in
-  Printf.printf "%-14s %10s %14s %14s %18s\n" "workload" "events" "events/s"
-    "pkts/s" "minor words/event";
+  Printf.printf "%-14s %10s %14s %14s %18s %12s %16s\n" "workload" "events"
+    "events/s" "pkts/s" "minor words/event" "walks/event" "overflows/event";
   List.iter
     (fun (key, p) ->
-      Printf.printf "%-14s %10d %14.0f %14.0f %18.3f\n" key p.sp_events
-        p.sp_events_per_s p.sp_pkts_per_s p.sp_words_per_event)
+      Printf.printf "%-14s %10d %14.0f %14.0f %18.3f %12.4f %16.4f\n" key
+        p.sp_events p.sp_events_per_s p.sp_pkts_per_s p.sp_words_per_event
+        p.sp_walks_per_event p.sp_overflows_per_event)
     results;
   record "scale" (Obs.Json.Obj [ ("workloads", scale_json results) ]);
   baseline_add "scale" (scale_json results);

@@ -5,10 +5,36 @@ module Payload = Netsim.Payload
 
 (* Deterministic per-file size: a hash of the id seeds a one-shot
    log-normal draw. Median 4 KB, heavy tail capped at 256 KB. *)
-let file_size file_id =
+let draw_file_size file_id =
   let rng = Rng.create ~seed:((file_id * 2654435761) lor 1) in
   let size = Rng.lognormal rng ~mu:(log 4000.0) ~sigma:1.0 in
   Int.max 256 (Int.min 262_144 (int_of_float size))
+
+(* Both ends of every request ask for its size, so each id's draw is kept:
+   ids below [cached_ids] in a table that grows to the largest id seen,
+   0 marking one not drawn yet.  Each domain keeps its own table, so none
+   is ever written from two domains. *)
+let cached_ids = 1 lsl 16
+let size_table = Domain.DLS.new_key (fun () -> [||])
+
+let file_size file_id =
+  if file_id < 0 || file_id >= cached_ids then draw_file_size file_id
+  else begin
+    let table = Domain.DLS.get size_table in
+    let table =
+      if file_id < Array.length table then table
+      else begin
+        let grown =
+          Array.make (Int.min cached_ids (Int.max 1024 (2 * file_id))) 0
+        in
+        Array.blit table 0 grown 0 (Array.length table);
+        Domain.DLS.set size_table grown;
+        grown
+      end
+    in
+    if table.(file_id) = 0 then table.(file_id) <- draw_file_size file_id;
+    table.(file_id)
+  end
 
 module Trace = struct
   (* The ids still to come. A generated trace draws each id from its own

@@ -12,7 +12,8 @@
     seed. *)
 
 (** [file_size file_id] — the catalog, shared by servers and clients:
-    log-normal-ish sizes (median 4 KB), deterministic in [file_id]. *)
+    log-normal-ish sizes (median 4 KB), deterministic in [file_id]. Each
+    domain draws an id's size once and keeps it. *)
 val file_size : int -> int
 
 (** Shared trace of file ids. *)

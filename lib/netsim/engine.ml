@@ -106,8 +106,10 @@ let[@inline] note_queued engine =
   engine.queued <- engine.queued + 1;
   if engine.queued > engine.depth_max then engine.depth_max <- engine.queued
 
+(* Every time check is written [not (at >= now)], which also rejects NaN:
+   a NaN time would compare false with everything and block the queue. *)
 let schedule engine ~at thunk =
-  if at < engine.clock.Sched.v then
+  if not (at >= engine.clock.Sched.v) then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %g is before now (%g)" at
          engine.clock.Sched.v);
@@ -115,7 +117,9 @@ let schedule engine ~at thunk =
   note_queued engine
 
 let schedule_after engine ~delay thunk =
-  if delay < 0.0 then invalid_arg "Engine.schedule_after: negative delay";
+  if not (delay >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule_after: delay %g is not >= 0" delay);
   schedule engine ~at:(engine.clock.Sched.v +. delay) thunk
 
 (* ------------------------------------------------------------------ *)
@@ -169,7 +173,7 @@ let[@inline] arm_delivery engine d =
     d.d_event
 
 let[@inline] push_delivery engine d ~at packet =
-  if at < engine.clock.Sched.v then
+  if not (at >= engine.clock.Sched.v) then
     invalid_arg
       (Printf.sprintf "Engine.push_delivery: time %g is before now (%g)" at
          engine.clock.Sched.v);
@@ -267,7 +271,7 @@ let[@inline] arm_broadcast engine b =
     b.b_event
 
 let[@inline] push_broadcast engine b ~at ~l2_dst ~from packet =
-  if at < engine.clock.Sched.v then
+  if not (at >= engine.clock.Sched.v) then
     invalid_arg
       (Printf.sprintf "Engine.push_broadcast: time %g is before now (%g)" at
          engine.clock.Sched.v);
@@ -398,3 +402,5 @@ let next_time engine =
 let pending engine = engine.queued
 let events_processed engine = engine.processed
 let max_heap_depth engine = engine.depth_max
+let queue_walk_steps engine = Sched.walk_steps engine.queue
+let queue_overflow_inserts engine = Sched.overflow_inserts engine.queue

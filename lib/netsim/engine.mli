@@ -26,10 +26,11 @@ val create : ?register_gauges:bool -> unit -> t
 val now : t -> float
 
 (** [schedule engine ~at thunk] runs [thunk] when the clock reaches [at].
-    @raise Invalid_argument if [at] is in the past. *)
+    @raise Invalid_argument if [at] is in the past or NaN. *)
 val schedule : t -> at:float -> (unit -> unit) -> unit
 
-(** [schedule_after engine ~delay thunk] runs [thunk] after [delay] seconds. *)
+(** [schedule_after engine ~delay thunk] runs [thunk] after [delay] seconds.
+    @raise Invalid_argument if [delay] is negative or NaN. *)
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 
 (** {2 Delivery pipelines}
@@ -49,8 +50,8 @@ val set_delivery_receiver : delivery -> (Packet.t -> unit) -> unit
 
 (** [push_delivery engine d ~at packet] enqueues [packet] to arrive at
     [at].
-    @raise Invalid_argument if [at] is in the past or earlier than the
-    ring's newest pending arrival (arrivals must be monotone). *)
+    @raise Invalid_argument if [at] is in the past, NaN, or earlier than
+    the ring's newest pending arrival (arrivals must be monotone). *)
 val push_delivery : t -> delivery -> at:float -> Packet.t -> unit
 
 (** [delivery_backlog d] is the number of packets in flight in [d]. *)
@@ -74,6 +75,7 @@ val broadcast : unit -> broadcast
 val set_broadcast_handler :
   broadcast -> (l2_dst:Addr.t option -> from:int -> Packet.t -> unit) -> unit
 
+(** Like {!push_delivery}, with the same checks on [at]. *)
 val push_broadcast :
   t -> broadcast -> at:float -> l2_dst:Addr.t option -> from:int ->
   Packet.t -> unit
@@ -139,3 +141,10 @@ val events_processed : t -> int
     network: a partitioned run keeps one queue per domain and cannot
     reproduce the sequential engine's instantaneous global peak. *)
 val max_heap_depth : t -> int
+
+(** [queue_walk_steps engine] and [queue_overflow_inserts engine] read the
+    event queue's work counters since creation ({!Sched.walk_steps},
+    {!Sched.overflow_inserts}); [bench scale] reports them per event. *)
+val queue_walk_steps : t -> int
+
+val queue_overflow_inserts : t -> int

@@ -1,4 +1,4 @@
-(* Closure-free event scheduler: a calendar-queue (timing-wheel) front end
+(* Closure-free event scheduler: a rolling calendar queue (timing wheel)
    backed by an overflow binary heap.
 
    Every queued event owns a slot in a pool of parallel arrays (float due
@@ -12,26 +12,46 @@
    per insertion (or reserved up front with [fresh_seq] and passed to
    [add_stamped]), ties break FIFO.
 
-   The wheel covers [wheel_t0, wheel_t0 + nbuckets * width).  An insert
-   below that horizon lands in bucket floor((t - wheel_t0) / width),
-   clamped into [cur, nbuckets-1]; inserts at or past the horizon go to
-   the overflow heap.  Buckets are singly-linked lists threaded through
-   the pool's [enext] array, kept sorted by (time, seq) — with the bucket
-   width adapted to the mean inter-event gap each bucket holds O(1) events,
-   so the sorted insert is O(1) amortized.
+   Geometry.  An event due at [t] has the absolute bucket index
+   [idx t = trunc ((t - t0) / width)].  The wheel holds the [nbuckets]
+   consecutive indices [cur, cur + nbuckets): index [i] lives in physical
+   bucket [i land mask], and an event whose index is below [cur] is clamped
+   into bucket [cur].  Events at or past [cur + nbuckets] wait in the
+   overflow heap.  The wheel rolls: every time [cur] steps over an empty
+   bucket the window gains one index at its far end, and heap events that
+   now fall inside it migrate into the wheel.  Buckets are singly-linked
+   lists threaded through the pool's [enext] array, kept sorted by
+   (time, seq); a tail pointer makes the common append O(1).
 
-   Invariants (the clamp makes the first two safe even under float
-   rounding):
-     - bucket index is a monotone function of time, so an event in bucket
-       j > cur cannot be due before any event clamped into bucket [cur];
+   Invariants:
+     - [idx] is a monotone function of time (IEEE subtraction and
+       multiplication round monotonically), so an event in a later bucket
+       is never due before one in an earlier bucket, clamped ones included;
      - equal times map to equal buckets, so FIFO ties always meet in one
        sorted list;
-     - the heap only holds events at or past the horizon, and the horizon
-       only moves at a rotation (when the wheel is empty), so the wheel
-       always holds a prefix of the schedule;
+     - every heap event has an index at or past [cur + nbuckets], so the
+       wheel always holds a prefix of the schedule;
      - only the live prefix of any pool array is meaningful: slots on the
        free list keep stale times/seqs and [clear] never has to touch
-       capacity beyond what was used. *)
+       capacity beyond what was used.
+
+   Re-fitting.  The width and bucket count change only on evidence the
+   queue sees as it runs, counted since the last re-fit:
+     - a sorted insert that walks past more than [walk_limit] entries,
+       once the walks add up to more than the queue's size plus its bucket
+       count, narrows the width (to the smaller of half the width and 4x
+       the EMA of inter-pop gaps) and grows the bucket count to twice the
+       queue's size;
+     - an insert past the window, once more than that many inserts were
+       made and over an eighth of them went past the window, widens the
+       window: to twice the queue's size in buckets if there are fewer,
+       otherwise to twice the width.
+   A re-fit costs O(nbuckets + size), so those thresholds make it follow
+   at least as much wasted work as it costs.  It re-anchors the wheel at
+   the clock, relinks the wheel's events (already sorted, so each is an
+   O(1) append) and migrates the heap's newly covered prefix.  When the
+   wheel runs empty, [pop] re-anchors it at the heap's earliest event,
+   keeping the width.  An add never moves the wheel. *)
 
 type fcell = { mutable v : float }
 
@@ -48,24 +68,37 @@ type 'a t = {
   (* Calendar wheel. *)
   mutable bucket : int array; (* head slot per bucket, -1 = empty *)
   mutable btail : int array; (* tail slot; only read while head <> -1 *)
-  mutable cur : int; (* first possibly-nonempty bucket *)
+  mutable mask : int; (* nbuckets - 1; nbuckets is a power of two *)
+  mutable cur : int; (* absolute index of the first possibly-nonempty bucket *)
   mutable wheel_len : int;
-  mutable wheel_t0 : float; (* cold: mutated only at rotation *)
-  mutable width : float;
-  mutable inv_width : float;
-  mutable horizon : float; (* wheel_t0 + nbuckets * width *)
   (* Overflow heap of slot ids, ordered by (etime, eseq). *)
   mutable hslot : int array;
   mutable hlen : int;
-  (* Hot floats mutated per pop, kept in an unboxed array:
-     0 = last pop time, 1 = EMA of inter-pop gaps. *)
+  mutable hnext : int; (* index of the heap's earliest event; max_int if none *)
+  (* Evidence, cumulative; [mark_*] snapshot it at the last re-fit. *)
+  mutable adds : int;
+  mutable walks : int;
+  mutable overflows : int;
+  mutable mark_adds : int;
+  mutable mark_walks : int;
+  mutable mark_overflows : int;
+  (* Floats kept unboxed: 0 = last pop time, 1 = EMA of inter-pop gaps,
+     2 = t0, 3 = 1 / width, 4 = width. *)
   fs : float array;
 }
 
 let default_width = 1e-3
+let max_buckets = 65536
+
+(* A sorted insert that walks further than this is evidence that the
+   buckets are too wide for the schedule's density. *)
+let walk_limit = 8
+
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
 
 let create ?(nbuckets = 256) ~dummy () =
   if nbuckets <= 0 then invalid_arg "Sched.create: nbuckets must be positive";
+  let nbuckets = pow2_at_least (min nbuckets max_buckets) 1 in
   let cap = 16 in
   let enext = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1) in
   {
@@ -79,15 +112,19 @@ let create ?(nbuckets = 256) ~dummy () =
     seq_counter = 0;
     bucket = Array.make nbuckets (-1);
     btail = Array.make nbuckets (-1);
+    mask = nbuckets - 1;
     cur = 0;
     wheel_len = 0;
-    wheel_t0 = 0.0;
-    width = default_width;
-    inv_width = 1.0 /. default_width;
-    horizon = float_of_int nbuckets *. default_width;
     hslot = Array.make 16 0;
     hlen = 0;
-    fs = [| 0.0; 0.0 |];
+    hnext = max_int;
+    adds = 0;
+    walks = 0;
+    overflows = 0;
+    mark_adds = 0;
+    mark_walks = 0;
+    mark_overflows = 0;
+    fs = [| 0.0; 0.0; 0.0; 1.0 /. default_width; default_width |];
   }
 
 let size t = t.size
@@ -130,9 +167,23 @@ let[@inline] slot_before t a b =
   ta < tb
   || (ta = tb && Array.unsafe_get t.eseq a < Array.unsafe_get t.eseq b)
 
+(* Fractional bucket index of [time]: below [cur + nbuckets] it belongs to
+   the wheel.  NaN compares false with everything, so it overflows. *)
+let[@inline] findex t time =
+  let fs = t.fs in
+  (time -. Array.unsafe_get fs 2) *. Array.unsafe_get fs 3
+
 (* ------------------------------------------------------------------ *)
 (* Overflow heap (slot ids keyed by pool time/seq)                     *)
 (* ------------------------------------------------------------------ *)
+
+(* Cache the heap minimum's bucket index, so the wheel can tell with one
+   integer compare when rolling forward has brought it into range. *)
+let set_hnext t =
+  if t.hlen = 0 then t.hnext <- max_int
+  else
+    let f = findex t t.etime.(t.hslot.(0)) in
+    t.hnext <- (if f < 4e18 then int_of_float f else max_int)
 
 let[@inline never] heap_grow t =
   let cap = Array.length t.hslot in
@@ -156,7 +207,8 @@ let heap_add t s =
       i := parent
     end
     else continue := false
-  done
+  done;
+  if !i = 0 then set_hnext t
 
 let heap_pop t =
   let h = t.hslot in
@@ -180,6 +232,7 @@ let heap_pop t =
     end
     else continue := false
   done;
+  set_hnext t;
   root
 
 (* ------------------------------------------------------------------ *)
@@ -187,91 +240,167 @@ let heap_pop t =
 (* ------------------------------------------------------------------ *)
 
 (* Sorted insert of slot [s] into bucket [b]: skip everything due before
-   [s] (equal-time earlier seqs included, preserving FIFO).  The tail
-   pointer makes the dominant pattern — appending at or after the bucket's
-   newest entry, as FIFO waves and rising times do — O(1) regardless of
-   how many events share the bucket. *)
+   [s] (equal-time earlier seqs included, preserving FIFO).  Appending at
+   the tail and prepending at the head are O(1); anything else walks the
+   list.  Returns the entries walked past. *)
 let bucket_insert t b s =
-  let head = t.bucket.(b) in
+  t.wheel_len <- t.wheel_len + 1;
+  let head = Array.unsafe_get t.bucket b in
   if head = -1 then begin
-    t.enext.(s) <- -1;
-    t.bucket.(b) <- s;
-    t.btail.(b) <- s
+    Array.unsafe_set t.enext s (-1);
+    Array.unsafe_set t.bucket b s;
+    Array.unsafe_set t.btail b s;
+    0
   end
-  else if slot_before t t.btail.(b) s then begin
-    t.enext.(s) <- -1;
-    t.enext.(t.btail.(b)) <- s;
-    t.btail.(b) <- s
-  end
-  else if slot_before t s head then begin
-    t.enext.(s) <- head;
-    t.bucket.(b) <- s
-  end
-  else begin
-    let p = ref head in
-    let continue = ref true in
-    while !continue do
-      let n = t.enext.(!p) in
-      if n <> -1 && slot_before t n s then p := n else continue := false
-    done;
-    t.enext.(s) <- t.enext.(!p);
-    t.enext.(!p) <- s
-  end;
-  t.wheel_len <- t.wheel_len + 1
-
-(* Place slot [s] (time already below the horizon) into its wheel bucket,
-   clamped into [cur, nbuckets-1]. *)
-let[@inline] wheel_place t s =
-  let nbuckets = Array.length t.bucket in
-  let idx =
-    int_of_float ((Array.unsafe_get t.etime s -. t.wheel_t0) *. t.inv_width)
-  in
-  let idx = if idx < t.cur then t.cur else idx in
-  let idx = if idx >= nbuckets then nbuckets - 1 else idx in
-  bucket_insert t idx s
-
-(* Reposition the wheel over the earliest pending work and refill it from
-   the overflow heap.  Called only when the wheel is empty, so this is
-   where the horizon — and the bucket width — may move.  The width chases
-   the EMA of inter-pop gaps so each bucket holds O(1) events; the bucket
-   count doubles (up to a cap) when the population outgrows it. *)
-let rotate t =
-  let nbuckets = Array.length t.bucket in
-  let nbuckets =
-    if t.size > 2 * nbuckets && nbuckets < 65536 then begin
-      let target = ref nbuckets in
-      while !target < t.size && !target < 65536 do
-        target := 2 * !target
+  else
+    let tail = Array.unsafe_get t.btail b in
+    if slot_before t tail s then begin
+      Array.unsafe_set t.enext s (-1);
+      Array.unsafe_set t.enext tail s;
+      Array.unsafe_set t.btail b s;
+      0
+    end
+    else if slot_before t s head then begin
+      Array.unsafe_set t.enext s head;
+      Array.unsafe_set t.bucket b s;
+      0
+    end
+    else begin
+      let p = ref head in
+      let steps = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let n = Array.unsafe_get t.enext !p in
+        if n <> -1 && slot_before t n s then begin
+          p := n;
+          incr steps
+        end
+        else continue := false
       done;
-      t.bucket <- Array.make !target (-1);
-      t.btail <- Array.make !target (-1);
-      !target
+      Array.unsafe_set t.enext s (Array.unsafe_get t.enext !p);
+      Array.unsafe_set t.enext !p s;
+      t.walks <- t.walks + !steps;
+      !steps
     end
-    else nbuckets
-  in
-  let gap = t.fs.(1) in
-  let width =
-    (* Aim for a few events per bucket; fall back to the current width
-       when there is no signal yet (no pops, or all-equal times). *)
-    let target = gap *. 4.0 in
-    if target > 1e-12 && target < 1e9 then target else t.width
-  in
-  t.width <- width;
-  t.inv_width <- 1.0 /. width;
-  t.cur <- 0;
-  let t0 = t.etime.(t.hslot.(0)) in
-  t.wheel_t0 <- t0;
-  t.horizon <- t0 +. (float_of_int nbuckets *. width);
-  (* Drain everything now below the horizon into the wheel. *)
-  let continue = ref true in
-  while !continue && t.hlen > 0 do
-    let s = t.hslot.(0) in
-    if t.etime.(s) < t.horizon then begin
-      ignore (heap_pop t);
-      wheel_place t s
-    end
-    else continue := false
+
+(* Place slot [s], whose fractional index [f] is below the window's end,
+   into its bucket (clamped up to [cur]). *)
+let[@inline] wheel_place t s f =
+  let idx = int_of_float f in
+  let idx = if idx < t.cur then t.cur else idx in
+  bucket_insert t (idx land t.mask) s
+
+(* Move every heap event the window now covers into the wheel.  They come
+   out in order and after everything already in the wheel, so each is an
+   append. *)
+let migrate t =
+  while t.hnext < t.cur + t.mask + 1 do
+    let s = heap_pop t in
+    ignore (wheel_place t s (findex t (Array.unsafe_get t.etime s)))
   done
+
+(* First nonempty bucket at or after [cur]; the caller guarantees
+   wheel_len > 0.  Stepping over an empty bucket rolls the window one
+   index forward, which may bring the heap's minimum into range. *)
+let[@inline never] advance_slow t =
+  let bucket = t.bucket and mask = t.mask in
+  let cur = ref t.cur in
+  while Array.unsafe_get bucket (!cur land mask) = -1 do
+    incr cur;
+    if t.hnext <= !cur + mask then begin
+      t.cur <- !cur;
+      migrate t
+    end
+  done;
+  t.cur <- !cur;
+  !cur land mask
+
+let[@inline] advance_cur t =
+  let b = t.cur land t.mask in
+  if Array.unsafe_get t.bucket b <> -1 then b else advance_slow t
+
+(* Re-anchor the wheel at [anchor] with a new geometry.  The wheel's
+   events are unlinked bucket by bucket, which yields them in (time, seq)
+   order, and placed again; then the heap's newly covered prefix
+   migrates.  [anchor] must not be after any pending event. *)
+let refit t ~anchor ~width ~nbuckets =
+  let chain = ref (-1) and last = ref (-1) in
+  if t.wheel_len > 0 then
+    for i = t.cur to t.cur + t.mask do
+      let b = i land t.mask in
+      let head = t.bucket.(b) in
+      if head <> -1 then begin
+        if !last = -1 then chain := head else t.enext.(!last) <- head;
+        last := t.btail.(b);
+        t.bucket.(b) <- -1
+      end
+    done;
+  if nbuckets <> t.mask + 1 then begin
+    t.bucket <- Array.make nbuckets (-1);
+    t.btail <- Array.make nbuckets (-1)
+  end;
+  t.mask <- nbuckets - 1;
+  t.cur <- 0;
+  t.wheel_len <- 0;
+  let fs = t.fs in
+  fs.(2) <- anchor;
+  fs.(3) <- 1.0 /. width;
+  fs.(4) <- width;
+  if !last <> -1 then t.enext.(!last) <- -1;
+  let s = ref !chain in
+  while !s <> -1 do
+    let next = t.enext.(!s) in
+    let f = findex t t.etime.(!s) in
+    if f < float_of_int nbuckets then ignore (wheel_place t !s f)
+    else heap_add t !s;
+    s := next
+  done;
+  set_hnext t;
+  migrate t
+
+let grown_buckets t = min max_buckets (pow2_at_least (2 * t.size) (t.mask + 1))
+
+(* A re-fit on evidence, while the wheel may be in use.  The anchor is the
+   clock unless some event is due before it, so inserts due between the
+   clock and the first event still spread over buckets.  The evidence
+   window restarts here. *)
+let refit_on_evidence t ~width ~nbuckets =
+  let first =
+    if t.wheel_len > 0 then t.etime.(t.bucket.(advance_cur t))
+    else t.etime.(t.hslot.(0))
+  in
+  let now = t.fs.(0) in
+  let anchor = if now <= first then now else first in
+  if Float.is_finite anchor then refit t ~anchor ~width ~nbuckets;
+  t.mark_adds <- t.adds;
+  t.mark_walks <- t.walks;
+  t.mark_overflows <- t.overflows
+
+(* Crowded buckets: narrow toward 4x the inter-pop gap, at least halving. *)
+let[@inline never] walked_far t =
+  if t.walks - t.mark_walks > t.size + t.mask then begin
+    let width = t.fs.(4) in
+    let target = 4.0 *. t.fs.(1) in
+    let width =
+      if target > 1e-12 && target < width /. 2.0 then target
+      else Float.max 1e-12 (width /. 2.0)
+    in
+    refit_on_evidence t ~width ~nbuckets:(grown_buckets t)
+  end
+
+(* An insert past the window.  Once over an eighth of the inserts since
+   the last re-fit have gone this way, widen the window: more buckets if
+   the queue outgrew them, else wider ones. *)
+let[@inline never] overflow t s =
+  t.overflows <- t.overflows + 1;
+  heap_add t s;
+  let adds = t.adds - t.mark_adds in
+  if adds > t.size + t.mask && 8 * (t.overflows - t.mark_overflows) > adds
+  then begin
+    let nbuckets = grown_buckets t in
+    let width = if nbuckets > t.mask + 1 then t.fs.(4) else 2.0 *. t.fs.(4) in
+    refit_on_evidence t ~width ~nbuckets
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
@@ -285,33 +414,25 @@ let[@inline] add_stamped t ~time ~seq value =
   Array.unsafe_set t.eseq s seq;
   Array.unsafe_set t.evalue s value;
   t.size <- t.size + 1;
-  if time >= t.horizon then
-    if t.wheel_len = 0 && t.hlen = 0 then begin
-      (* Queue idle and the event is past the wheel's span: re-anchor the
-         wheel at this event instead of bouncing it through the heap.
-         Safe only when the heap is empty too — it may hold events due
-         before [time] that a moved horizon would incorrectly outrank. *)
-      t.cur <- 0;
-      t.wheel_t0 <- time;
-      t.horizon <-
-        time +. (float_of_int (Array.length t.bucket) *. t.width);
-      bucket_insert t 0 s
-    end
-    else heap_add t s
-  else wheel_place t s
+  t.adds <- t.adds + 1;
+  let f = findex t time in
+  if f < float_of_int (t.cur + t.mask + 1) then begin
+    if wheel_place t s f > walk_limit then walked_far t
+  end
+  else overflow t s
 
 let[@inline] add t ~time value = add_stamped t ~time ~seq:(fresh_seq t) value
 
-(* First nonempty bucket at or after [cur]; the caller guarantees
-   wheel_len > 0. Advancing [cur] here is what retires empty buckets. *)
-let[@inline] advance_cur t =
-  let bucket = t.bucket in
-  let cur = ref t.cur in
-  while Array.unsafe_get bucket !cur = -1 do
-    incr cur
-  done;
-  t.cur <- !cur;
-  !cur
+(* The wheel is empty: re-anchor it at the heap's earliest event.  False
+   when that time is not finite, so the wheel cannot index it; [pop] then
+   takes the heap's minimum directly. *)
+let[@inline never] refill t =
+  let first = t.etime.(t.hslot.(0)) in
+  Float.is_finite first
+  && begin
+       refit t ~anchor:first ~width:t.fs.(4) ~nbuckets:(grown_buckets t);
+       t.wheel_len > 0
+     end
 
 let peek_time t ~into =
   if t.size = 0 then false
@@ -326,15 +447,21 @@ let peek_time t ~into =
 
 let pop t ~into =
   if t.size = 0 then invalid_arg "Sched.pop: empty";
-  if t.wheel_len = 0 then rotate t;
-  let b = advance_cur t in
-  let s = t.bucket.(b) in
-  t.bucket.(b) <- Array.unsafe_get t.enext s;
-  t.wheel_len <- t.wheel_len - 1;
+  let s =
+    if t.wheel_len > 0 || refill t then begin
+      let b = advance_cur t in
+      let s = Array.unsafe_get t.bucket b in
+      Array.unsafe_set t.bucket b (Array.unsafe_get t.enext s);
+      t.wheel_len <- t.wheel_len - 1;
+      s
+    end
+    else heap_pop t
+  in
   t.size <- t.size - 1;
   let time = Array.unsafe_get t.etime s in
   into.v <- time;
-  (* Inter-pop gap EMA feeding the width adaptation (unboxed stores). *)
+  (* Inter-pop gap EMA, the target width of a narrowing re-fit (unboxed
+     stores). *)
   let fs = t.fs in
   let gap = time -. Array.unsafe_get fs 0 in
   Array.unsafe_set fs 0 time;
@@ -351,7 +478,7 @@ let clear t =
   (* Release payload pointers in the live prefix only: free slots already
      hold [dummy] (see the module-top invariant). *)
   if t.wheel_len > 0 then
-    for b = t.cur to Array.length t.bucket - 1 do
+    for b = 0 to t.mask do
       let s = ref t.bucket.(b) in
       while !s <> -1 do
         let n = t.enext.(!s) in
@@ -369,12 +496,14 @@ let clear t =
     t.free <- s
   done;
   t.hlen <- 0;
+  t.hnext <- max_int;
   t.wheel_len <- 0;
-  t.size <- 0;
-  t.cur <- 0
+  t.size <- 0
 
 (* Introspection for tests and gauges. *)
 let wheel_length t = t.wheel_len
 let overflow_length t = t.hlen
-let bucket_count t = Array.length t.bucket
-let bucket_width t = t.width
+let bucket_count t = t.mask + 1
+let bucket_width t = t.fs.(4)
+let walk_steps t = t.walks
+let overflow_inserts t = t.overflows

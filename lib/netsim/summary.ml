@@ -1,10 +1,6 @@
-type t = {
-  mutable samples : float array;
-  mutable len : int;
-  mutable sorted : bool;
-}
+type t = { mutable samples : float array; mutable len : int }
 
-let create () = { samples = Array.make 64 0.0; len = 0; sorted = true }
+let create () = { samples = Array.make 64 0.0; len = 0 }
 
 let add t value =
   if t.len = Array.length t.samples then begin
@@ -13,8 +9,7 @@ let add t value =
     t.samples <- grown
   end;
   t.samples.(t.len) <- value;
-  t.len <- t.len + 1;
-  t.sorted <- false
+  t.len <- t.len + 1
 
 let count t = t.len
 
@@ -25,13 +20,44 @@ let iter t f =
 
 let merge ~into t = iter t (add into)
 
-let ensure_sorted t =
-  if not t.sorted then begin
-    let snapshot = Array.sub t.samples 0 t.len in
-    Array.sort Float.compare snapshot;
-    Array.blit snapshot 0 t.samples 0 t.len;
-    t.sorted <- true
-  end
+(* [Float.compare a b < 0], inlined: NaN sorts below every number. *)
+let[@inline] lt (a : float) b = a < b || (a <> a && b = b)
+
+(* The value of rank [k] (0-based) among the samples, by Hoare's selection
+   with a median-of-three pivot: partition around the pivot and keep the
+   side holding [k].  Reorders the samples, in expected linear time. *)
+let select t k =
+  let a = t.samples in
+  let lo = ref 0 and hi = ref (t.len - 1) in
+  while !lo < !hi do
+    let x =
+      let l = a.(!lo) and m = a.((!lo + !hi) / 2) and h = a.(!hi) in
+      if lt l m then (if lt m h then m else if lt l h then h else l)
+      else if lt l h then l
+      else if lt m h then h
+      else m
+    in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while lt a.(!i) x do
+        incr i
+      done;
+      while lt x a.(!j) do
+        decr j
+      done;
+      if !i <= !j then begin
+        let tmp = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- tmp;
+        incr i;
+        decr j
+      end
+    done;
+    (* a.(lo..j) <= x <= a.(i..hi), and everything between equals x. *)
+    if !j < k then lo := !i;
+    if k < !i then hi := !j
+  done;
+  a.(k)
 
 let mean t =
   if t.len = 0 then 0.0
@@ -43,28 +69,27 @@ let mean t =
     !sum /. float_of_int t.len
   end
 
-let min t =
+let extremum t ~first =
   if t.len = 0 then 0.0
   else begin
-    ensure_sorted t;
-    t.samples.(0)
+    let best = ref t.samples.(0) in
+    for i = 1 to t.len - 1 do
+      let v = t.samples.(i) in
+      if first v !best then best := v
+    done;
+    !best
   end
 
-let max t =
-  if t.len = 0 then 0.0
-  else begin
-    ensure_sorted t;
-    t.samples.(t.len - 1)
-  end
+let min t = extremum t ~first:lt
+let max t = extremum t ~first:(fun a b -> lt b a)
 
 let percentile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Summary.percentile: p outside [0, 100]";
   if t.len = 0 then 0.0
   else begin
-    ensure_sorted t;
     (* nearest rank *)
     let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.len)) in
-    t.samples.(Stdlib.max 0 (Stdlib.min (t.len - 1) (rank - 1)))
+    select t (Stdlib.max 0 (Stdlib.min (t.len - 1) (rank - 1)))
   end
 
 let stddev t =

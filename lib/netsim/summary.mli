@@ -1,8 +1,9 @@
 (** Scalar sample summaries: mean, percentiles, extrema.
 
-    Samples accumulate in insertion order; queries sort a snapshot on
-    demand (cheap at experiment scales). Used by the experiments for
-    response-time distributions. *)
+    Samples accumulate in insertion order. A percentile is found by
+    selection, in expected linear time, and may reorder the samples;
+    extrema are one scan. Used by the experiments for response-time
+    distributions. *)
 
 type t
 

@@ -106,6 +106,27 @@ let http_file_sizes_deterministic () =
          s >= 256 && s <= 262_144)
        (List.init 500 Fun.id))
 
+let http_file_sizes_drawn_once () =
+  (* The kept sizes equal a fresh draw of the formula, on first and
+     repeated reads, in this domain and in a second one. *)
+  let formula file_id =
+    let rng = Asp.Rng.create ~seed:((file_id * 2654435761) lor 1) in
+    let size = Asp.Rng.lognormal rng ~mu:(log 4000.0) ~sigma:1.0 in
+    Int.max 256 (Int.min 262_144 (int_of_float size))
+  in
+  let ids = List.init 5000 (fun i -> i + 1) in
+  let mismatches () =
+    List.length
+      (List.filter
+         (fun id ->
+           let first = Http_app.file_size id in
+           first <> formula id || Http_app.file_size id <> first)
+         ids)
+  in
+  check "this domain" 0 (mismatches ());
+  check "another domain" 0 (Domain.join (Domain.spawn mismatches));
+  check "past the kept range" (formula 1_000_003) (Http_app.file_size 1_000_003)
+
 let http_trace () =
   let trace = Http_app.Trace.generate ~requests:100 ~files:10 ~seed:1 () in
   check "remaining" 100 (Http_app.Trace.remaining trace);
@@ -487,6 +508,8 @@ let () =
       ( "http",
         [
           Alcotest.test_case "file sizes" `Quick http_file_sizes_deterministic;
+          Alcotest.test_case "file sizes drawn once" `Quick
+            http_file_sizes_drawn_once;
           Alcotest.test_case "trace" `Quick http_trace;
           Alcotest.test_case "trace file roundtrip" `Quick http_trace_file_roundtrip;
           Alcotest.test_case "trace matches eager generation" `Quick

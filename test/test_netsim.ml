@@ -92,9 +92,9 @@ let sched_peek () =
       ignore (Sched.pop sched ~into:cell))
 
 let sched_overflow_and_rotation () =
-  (* 16 buckets x 1 ms puts the initial horizon at 16 ms: events past it
-     overflow into the heap while the wheel is busy, then sweep back into
-     the wheel at rotations — pop order must not care. *)
+  (* 16 buckets x 1 ms puts the initial window end at 16 ms: events past
+     it overflow into the heap while the wheel is busy, then migrate back
+     as the wheel rolls or re-anchors — pop order must not care. *)
   let sched = Sched.create ~nbuckets:16 ~dummy:0.0 () in
   Sched.add sched ~time:0.0 0.0;
   List.iter (fun t -> Sched.add sched ~time:t t) [ 0.5; 0.25; 0.75 ];
@@ -104,11 +104,112 @@ let sched_overflow_and_rotation () =
     "in order across the horizon"
     [ 0.0; 0.25; 0.5; 0.75 ]
     (List.map fst (drain_sched sched));
-  (* with the queue idle a far-future add re-anchors the wheel instead of
-     bouncing through the heap *)
+  (* A far-future add to an idle queue waits in the heap like any other
+     insert past the window (an add no longer moves the wheel: anchoring it
+     there clamped every earlier insert into one bucket); the pop that
+     finds the wheel empty re-anchors it. *)
   Sched.add sched ~time:1000.0 1000.0;
-  check "re-anchored, not overflowed" 0 (Sched.overflow_length sched);
-  check "in the wheel" 1 (Sched.wheel_length sched)
+  check "far add overflows" 1 (Sched.overflow_length sched);
+  check "wheel still empty" 0 (Sched.wheel_length sched);
+  Alcotest.(check (list (float 0.0)))
+    "popped after re-anchoring" [ 1000.0 ]
+    (List.map fst (drain_sched sched))
+
+let sched_infinite_time () =
+  (* An event at infinity cannot be placed in any bucket; it pops last
+     (re-anchoring the wheel there raised index out of bounds). *)
+  let sched = Sched.create ~dummy:0.0 () in
+  List.iter (fun t -> Sched.add sched ~time:t t) [ 1.0; Float.infinity; 2.0 ];
+  Alcotest.(check (list (float 0.0)))
+    "finite first" [ 1.0; 2.0; Float.infinity ]
+    (List.map fst (drain_sched sched))
+
+(* The schedule shapes that used to defeat the width rule.  Each bounds the
+   scheduler's work per pop: entries walked past by sorted inserts (at most
+   2) and inserts sent to the overflow heap. *)
+
+let check_sched_work name sched ~pops ~max_overflow_per_pop =
+  let walks = Sched.walk_steps sched
+  and overflows = Sched.overflow_inserts sched in
+  if walks > 2 * pops then
+    Alcotest.failf "%s: %d walk steps over %d pops (> 2 per pop)" name walks
+      pops;
+  if float_of_int overflows > max_overflow_per_pop *. float_of_int pops then
+    Alcotest.failf "%s: %d overflow inserts over %d pops (> %g per pop)" name
+      overflows pops max_overflow_per_pop
+
+(* Hold model: each popped event is replaced by one due up to [spread]
+   later, until the clock reaches [until]. *)
+let hold sched rng ~until ~spread ~pops =
+  let cell = { Sched.v = 0.0 } in
+  let continue = ref true in
+  while !continue && not (Sched.is_empty sched) do
+    ignore (Sched.pop sched ~into:cell);
+    incr pops;
+    if cell.Sched.v < until then
+      Sched.add sched ~time:(cell.Sched.v +. Random.State.float rng spread) 0
+    else continue := false
+  done
+
+let sched_far_first_insert () =
+  (* The run's first insert is due 10.48 s out (a scheduled crash) and
+     reaches an idle queue; everything scheduled after it is due earlier. *)
+  let sched = Sched.create ~dummy:0 () in
+  let rng = Random.State.make [| 22 |] in
+  Sched.add sched ~time:10.48 0;
+  for i = 1 to 1000 do
+    Sched.add sched ~time:(float_of_int i *. 1e-5) 0
+  done;
+  let pops = ref 0 in
+  hold sched rng ~until:2.0 ~spread:0.05 ~pops;
+  check_sched_work "far first insert" sched ~pops:!pops
+    ~max_overflow_per_pop:0.01
+
+let sched_bursts_after_quiet () =
+  (* Ten bursts of dense, out-of-order traffic 100 ms long, each followed
+     by a quiet stretch with one timer every 0.5 s: the gaps that blew up
+     a width taken from the inter-pop gap EMA at the next rotation. *)
+  let sched = Sched.create ~dummy:0 () in
+  let rng = Random.State.make [| 7 |] in
+  let pops = ref 0 in
+  for burst = 0 to 9 do
+    let start = float_of_int burst *. 2.0 in
+    List.iter (fun d -> Sched.add sched ~time:(start +. d) 0) [ 0.6; 1.1; 1.6 ];
+    for _ = 1 to 1000 do
+      Sched.add sched ~time:(start +. Random.State.float rng 0.01) 0
+    done;
+    hold sched rng ~until:(start +. 0.1) ~spread:0.01 ~pops;
+    let cell = { Sched.v = 0.0 } in
+    while not (Sched.is_empty sched) do
+      ignore (Sched.pop sched ~into:cell);
+      incr pops
+    done
+  done;
+  (* Each burst's first 1,000 events are added 0.4 s ahead, past a window
+     fitted to the burst: about 0.05 overflow inserts per pop. *)
+  check_sched_work "bursts after quiet" sched ~pops:!pops
+    ~max_overflow_per_pop:0.1
+
+let sched_fixed_hold () =
+  (* 100 flows started 1 us apart, each re-scheduled one hop later.  At
+     1.1024 ms this is the [bench scale] flow mesh, whose inserts all
+     overflowed a wheel fitted to the 1 us gaps inside each cluster; a
+     0.5 s hop starts past the default 256 ms window and must widen it. *)
+  List.iter
+    (fun hop ->
+      let sched = Sched.create ~dummy:0 () in
+      for i = 1 to 100 do
+        Sched.add sched ~time:(float_of_int i *. 1e-6) 0
+      done;
+      let cell = { Sched.v = 0.0 } in
+      let pops = 100_000 in
+      for _ = 1 to pops do
+        ignore (Sched.pop sched ~into:cell);
+        Sched.add sched ~time:(cell.Sched.v +. hop) 0
+      done;
+      check_sched_work (Printf.sprintf "fixed hold %g s" hop) sched ~pops
+        ~max_overflow_per_pop:0.01)
+    [ 1.1024e-3; 0.5 ]
 
 (* ---------- engine ---------- *)
 
@@ -138,6 +239,44 @@ let engine_rejects_past () =
   Engine.run engine;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: time 1 is before now (5)")
     (fun () -> Engine.schedule engine ~at:1.0 (fun () -> ()))
+
+let engine_rejects_nan () =
+  (* A NaN time compares false with everything: once accepted, it stalled
+     every later event.  In both orders the finite events must fire and the
+     NaN one be rejected. *)
+  let rejects name f =
+    match f () with
+    | () -> Alcotest.failf "%s: NaN accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun times ->
+      let engine = Engine.create () in
+      let fired = ref [] in
+      List.iter
+        (fun at ->
+          if Float.is_nan at then
+            rejects "schedule" (fun () -> Engine.schedule engine ~at ignore)
+          else Engine.schedule engine ~at (fun () -> fired := at :: !fired))
+        times;
+      Engine.run_until engine ~stop:10.0;
+      Alcotest.(check (list (float 0.0)))
+        "finite events fire" [ 1.0; 2.0 ] (List.rev !fired);
+      check "nothing left pending" 0 (Engine.pending engine))
+    [ [ 1.0; Float.nan; 2.0 ]; [ Float.nan; 1.0; 2.0 ] ];
+  let engine = Engine.create () in
+  rejects "schedule_after" (fun () ->
+      Engine.schedule_after engine ~delay:Float.nan ignore);
+  rejects "push_delivery" (fun () ->
+      Engine.push_delivery engine (Engine.delivery ()) ~at:Float.nan
+        (Packet.make ~src:Addr.broadcast ~dst:Addr.broadcast Packet.Raw
+           Payload.empty));
+  rejects "push_broadcast" (fun () ->
+      Engine.push_broadcast engine (Engine.broadcast ()) ~at:Float.nan
+        ~l2_dst:None ~from:0
+        (Packet.make ~src:Addr.broadcast ~dst:Addr.broadcast Packet.Raw
+           Payload.empty));
+  check "nothing queued" 0 (Engine.pending engine)
 
 let engine_delivery_ring () =
   (* The typed-event fast path: packets pushed into a delivery ring pop in
@@ -785,6 +924,45 @@ let summary_statistics () =
     (Invalid_argument "Summary.percentile: p outside [0, 100]") (fun () ->
       ignore (Netsim.Summary.percentile s 150.0))
 
+let summary_percentile_reference () =
+  (* Nearest rank against a fully sorted copy, on tie-heavy, ascending,
+     descending and constant samples, n = 1 included. *)
+  let rng = Random.State.make [| 5 |] in
+  let reference samples p =
+    let a = Array.of_list samples in
+    Array.sort Float.compare a;
+    let n = Array.length a in
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+    a.(max 0 (min (n - 1) (rank - 1)))
+  in
+  let shapes n =
+    [ ("ties", List.init n (fun _ -> float_of_int (Random.State.int rng 20) /. 4.0));
+      ("ascending", List.init n float_of_int);
+      ("descending", List.init n (fun i -> float_of_int (n - i)));
+      ("constant", List.init n (fun _ -> 2.5)) ]
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (shape, samples) ->
+          let s = Netsim.Summary.create () in
+          List.iter (Netsim.Summary.add s) samples;
+          List.iter
+            (fun p ->
+              checkf
+                (Printf.sprintf "%s n=%d p%g" shape n p)
+                (reference samples p)
+                (Netsim.Summary.percentile s p))
+            [ 0.0; 1.0; 25.0; 50.0; 95.0; 99.9; 100.0 ];
+          checkf (Printf.sprintf "%s n=%d min" shape n) (reference samples 0.0)
+            (Netsim.Summary.min s);
+          checkf (Printf.sprintf "%s n=%d max" shape n) (reference samples 100.0)
+            (Netsim.Summary.max s);
+          check (Printf.sprintf "%s n=%d count kept" shape n) n
+            (Netsim.Summary.count s))
+        (shapes n))
+    [ 1; 2; 3; 7; 100; 5000 ]
+
 let summary_merge () =
   let a = Netsim.Summary.create () and b = Netsim.Summary.create () in
   List.iter (Netsim.Summary.add a) [ 1.0; 2.0 ];
@@ -1054,12 +1232,18 @@ let () =
           Alcotest.test_case "peek" `Quick sched_peek;
           Alcotest.test_case "overflow and rotation" `Quick
             sched_overflow_and_rotation;
+          Alcotest.test_case "infinite time" `Quick sched_infinite_time;
+          Alcotest.test_case "far first insert" `Quick sched_far_first_insert;
+          Alcotest.test_case "bursts after quiet" `Quick
+            sched_bursts_after_quiet;
+          Alcotest.test_case "fixed hold" `Quick sched_fixed_hold;
         ] );
       ( "engine",
         [
           Alcotest.test_case "runs in order" `Quick engine_runs_in_order;
           Alcotest.test_case "run_until" `Quick engine_run_until;
           Alcotest.test_case "rejects past" `Quick engine_rejects_past;
+          Alcotest.test_case "rejects nan" `Quick engine_rejects_nan;
           Alcotest.test_case "delivery ring" `Quick engine_delivery_ring;
           Alcotest.test_case "nested scheduling" `Quick engine_nested_scheduling;
         ] );
@@ -1138,6 +1322,8 @@ let () =
         [
           Alcotest.test_case "statistics" `Quick summary_statistics;
           Alcotest.test_case "merge" `Quick summary_merge;
+          Alcotest.test_case "percentile matches sorted reference" `Quick
+            summary_percentile_reference;
         ] );
       ( "reliable",
         [

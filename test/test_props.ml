@@ -15,10 +15,10 @@ module Audio_frame = Planp_runtime.Audio_frame
 
 let () = Planp_runtime.Prims.install ()
 
-(* The generated-program, decoder-fuzz and audio wire-kernel properties
-   run [prop_scale] times their default case count when PLANP_PROP_SCALE
-   is set (CI's release job sets 10), so a local [dune runtest] stays
-   fast. *)
+(* The generated-program, decoder-fuzz, audio wire-kernel and scheduler
+   properties run [prop_scale] times their default case count when
+   PLANP_PROP_SCALE is set (CI's release job sets 10), so a local
+   [dune runtest] stays fast. *)
 let prop_scale =
   match Option.bind (Sys.getenv_opt "PLANP_PROP_SCALE") int_of_string_opt with
   | Some n when n > 0 -> n
@@ -35,41 +35,81 @@ let addr_roundtrip =
 
 let sched_matches_reference_model =
   (* Differential test of the calendar queue against a sorted-list model
-     under random interleavings of add and pop. Times sit on a coarse grid
-     so equal-time ties are frequent (exercising FIFO order), and the tiny
-     8-bucket wheel forces constant horizon overflow and rotation. *)
-  let op_gen =
-    Q.Gen.(
-      frequency
-        [ (3, map (fun n -> `Add (float_of_int n /. 4.0)) (int_bound 40));
-          (2, return `Pop) ])
+     under random interleavings of add and pop, in four schedule shapes:
+     - a coarse grid of absolute times, so equal-time ties are frequent
+       (exercising FIFO order);
+     - a far-future insert into the idle queue, then inserts due earlier;
+     - bursts of dense traffic separated by long quiet gaps;
+     - a fixed hold distance: every pop re-adds one event a hop later.
+     [`After d] adds an event due [d] after the last popped time.  The
+     wheel has 8 buckets (constant overflow, migration and re-fits) or
+     the default 256. *)
+  let open Q.Gen in
+  let grid =
+    list_size (int_range 0 200)
+      (frequency
+         [ (3, map (fun n -> `Add (float_of_int n /. 4.0)) (int_bound 40));
+           (2, return `Pop) ])
+  in
+  let ms n = float_of_int n *. 1e-3 in
+  let far_first =
+    let* far = float_range 5.0 20.0 in
+    let* early = list_size (int_range 1 100) (map (fun n -> `Add (ms n)) (int_bound 200)) in
+    let* rest =
+      list_size (int_range 0 300)
+        (frequency [ (1, map (fun n -> `After (ms n)) (int_bound 50)); (1, return `Pop) ])
+    in
+    return ((`Add far :: early) @ rest)
+  in
+  let burst =
+    let* quiet = float_range 0.3 2.0 in
+    let* ops =
+      list_size (int_range 20 80)
+        (frequency [ (3, map (fun n -> `After (ms n)) (int_bound 5)); (2, return `Pop) ])
+    in
+    return ((`After quiet :: ops) @ List.init 100 (fun _ -> `Pop))
+  in
+  let bursts = map List.concat (list_size (int_range 1 5) burst) in
+  let hold =
+    let* flows = int_range 1 50 in
+    let* hop = oneof [ return 1.1024e-3; float_range 1e-4 1e-2 ] in
+    let* hops = int_range 0 300 in
+    return
+      (List.init flows (fun i -> `Add (float_of_int (i + 1) *. 1e-6))
+      @ List.concat (List.init hops (fun _ -> [ `Pop; `After hop ])))
   in
   Q.Test.make ~name:"sched: interleaved add/pop matches sorted reference"
-    ~count:300
-    (Q.make Q.Gen.(list_size (int_range 0 200) op_gen))
-    (fun ops ->
-      let sched = Netsim.Sched.create ~nbuckets:8 ~dummy:(-1) () in
+    ~count:(300 * prop_scale)
+    (Q.make
+       (pair (oneofl [ 8; 256 ]) (oneof [ grid; far_first; bursts; hold ])))
+    (fun (nbuckets, ops) ->
+      let sched = Netsim.Sched.create ~nbuckets ~dummy:(-1) () in
       let cell = { Netsim.Sched.v = 0.0 } in
       let model = ref [] (* sorted by (time, insertion order) *) in
+      let now = ref 0.0 in
       let next = ref 0 in
+      let add time =
+        let id = !next in
+        incr next;
+        Netsim.Sched.add sched ~time id;
+        let rec ins = function
+          | (t', id') :: rest when t' <= time -> (t', id') :: ins rest
+          | rest -> (time, id) :: rest
+        in
+        model := ins !model;
+        true
+      in
       List.for_all
         (fun op ->
           match op with
-          | `Add time ->
-              let id = !next in
-              incr next;
-              Netsim.Sched.add sched ~time id;
-              let rec ins = function
-                | (t', id') :: rest when t' <= time -> (t', id') :: ins rest
-                | rest -> (time, id) :: rest
-              in
-              model := ins !model;
-              true
+          | `Add time -> add time
+          | `After d -> add (!now +. d)
           | `Pop -> (
               match !model with
               | [] -> Netsim.Sched.is_empty sched
               | (t, id) :: rest ->
                   model := rest;
+                  now := t;
                   (not (Netsim.Sched.is_empty sched))
                   && Netsim.Sched.pop sched ~into:cell = id
                   && cell.Netsim.Sched.v = t))
