@@ -57,7 +57,7 @@ module Client = struct
     mutable q_stereo16 : int;
     mutable q_mono16 : int;
     mutable q_mono8 : int;
-    arrivals : (int, float) Hashtbl.t;  (* seq -> arrival time *)
+    arrivals : float Netsim.Int_table.t;  (* seq -> arrival time *)
     mutable first_send_estimate : float option;
     mutable series : Netsim.Flowstat.Series.s option;
   }
@@ -73,7 +73,8 @@ module Client = struct
         | Audio_frame.Stereo16 -> t.q_stereo16 <- t.q_stereo16 + 1
         | Audio_frame.Mono16 -> t.q_mono16 <- t.q_mono16 + 1
         | Audio_frame.Mono8 -> t.q_mono8 <- t.q_mono8 + 1);
-        if not (Hashtbl.mem t.arrivals seq) then Hashtbl.add t.arrivals seq now;
+        if not (Netsim.Int_table.mem t.arrivals seq) then
+          Netsim.Int_table.add t.arrivals seq now;
         (* Estimate the stream epoch from the earliest (arrival − seq·T). *)
         let epoch = now -. (float_of_int seq *. t.frame_interval) in
         (match t.first_send_estimate with
@@ -93,7 +94,7 @@ module Client = struct
         q_stereo16 = 0;
         q_mono16 = 0;
         q_mono8 = 0;
-        arrivals = Hashtbl.create 4096;
+        arrivals = Netsim.Int_table.create 4096;
         first_send_estimate = None;
         series = None;
       }
@@ -126,7 +127,7 @@ module Client = struct
     for seq = 0 to frames_expected - 1 do
       let deadline = epoch +. t.buffer +. (float_of_int seq *. t.frame_interval) in
       let ok =
-        match Hashtbl.find_opt t.arrivals seq with
+        match Netsim.Int_table.find_opt t.arrivals seq with
         | Some arrival -> arrival <= deadline
         | None -> false
       in

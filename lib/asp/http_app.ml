@@ -198,7 +198,7 @@ module Client = struct
     warmup : float;
     retry_timeout : float;
     trace : Trace.t;
-    pending : (int, pending) Hashtbl.t;  (* our port -> state *)
+    pending : pending Netsim.Int_table.t;  (* our port -> state *)
     mutable next_port : int;
     mutable done_count : int;
     mutable retries : int;
@@ -221,7 +221,7 @@ module Client = struct
     t.next_port <- t.next_port + 1;
     let engine = Node.engine t.node in
     let now = Engine.now engine in
-    Hashtbl.replace t.pending port
+    Netsim.Int_table.replace t.pending port
       { expect = file_size file_id; got = 0; issued_at = now };
     t.flying <- t.flying + 1;
     let writer = Payload.Writer.create () in
@@ -229,9 +229,9 @@ module Client = struct
     Node.send_tcp t.node ~dst:t.server ~src_port:port ~dst_port:t.port
       (Payload.Writer.finish writer);
     Engine.schedule_after engine ~delay:t.retry_timeout (fun () ->
-        match Hashtbl.find_opt t.pending port with
+        match Netsim.Int_table.find_opt t.pending port with
         | Some pending when pending.got < pending.expect ->
-            Hashtbl.remove t.pending port;
+            Netsim.Int_table.remove t.pending port;
             t.flying <- t.flying - 1;
             t.retries <- t.retries + 1;
             issue_file t file_id
@@ -240,12 +240,12 @@ module Client = struct
   and on_response t _node (packet : Packet.t) =
     match packet.Packet.l4 with
     | Packet.Tcp { Packet.tcp_dst; _ } -> (
-        match Hashtbl.find_opt t.pending tcp_dst with
+        match Netsim.Int_table.find_opt t.pending tcp_dst with
         | None -> ()
         | Some pending ->
             pending.got <- pending.got + Payload.length packet.Packet.body;
             if pending.got >= pending.expect then begin
-              Hashtbl.remove t.pending tcp_dst;
+              Netsim.Int_table.remove t.pending tcp_dst;
               t.flying <- t.flying - 1;
               let now = Engine.now (Node.engine t.node) in
               if now >= t.warmup then begin
@@ -268,7 +268,7 @@ module Client = struct
         warmup;
         retry_timeout;
         trace;
-        pending = Hashtbl.create 64;
+        pending = Netsim.Int_table.create 64;
         next_port = 10000;
         done_count = 0;
         retries = 0;

@@ -47,9 +47,12 @@ let rng_float rng =
 (* Scenario-file parser                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* NaN passes every range check below (each comparison is false), and an
+   infinite time is never reached: both are refused here. *)
 let parse_float what s =
   match float_of_string_opt s with
-  | Some v -> Ok v
+  | Some v when Float.is_finite v -> Ok v
+  | Some _ -> Error (Printf.sprintf "%s: not a finite number (%s)" what s)
   | None -> Error (Printf.sprintf "%s: not a number (%s)" what s)
 
 let parse_rate what s =

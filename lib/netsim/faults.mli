@@ -70,7 +70,9 @@ val parse_scenario : string -> (scenario, string) result
       at 4.0 node crash-wipe router
       at 2.5 reroute
     ]}
-    The error string names the offending line. *)
+    The error string names the offending line. Times, probabilities and
+    factors must be finite numbers: [nan] or [inf] reads as
+    ["line N: <field>: not a finite number (<text>)"]. *)
 
 val scenario_of_events : ?seed:int -> event list -> scenario
 

@@ -74,8 +74,8 @@ type t = {
   mutable hook : hook option;
   mutable invalidation_hook : (unit -> unit) option;
   mutable promisc : bool;
-  udp_handlers : (int, t -> Packet.t -> unit) Hashtbl.t;
-  tcp_handlers : (int, t -> Packet.t -> unit) Hashtbl.t;
+  udp_handlers : (t -> Packet.t -> unit) Int_table.t;
+  tcp_handlers : (t -> Packet.t -> unit) Int_table.t;
   mutable udp_default : (t -> Packet.t -> unit) option;
   mutable tcp_default : (t -> Packet.t -> unit) option;
   mutable mcast : Multicast.t option;
@@ -99,8 +99,8 @@ let create engine ~name ~addr =
     hook = None;
     invalidation_hook = None;
     promisc = false;
-    udp_handlers = Hashtbl.create 8;
-    tcp_handlers = Hashtbl.create 8;
+    udp_handlers = Int_table.create 8;
+    tcp_handlers = Int_table.create 8;
     udp_default = None;
     tcp_default = None;
     mcast = None;
@@ -172,7 +172,7 @@ let is_group_member node group =
   | Some registry -> Multicast.is_member registry ~group node.node_addr
   | None -> false
 
-(* Allocation-free dispatch: [Hashtbl.find] + exception instead of
+(* Allocation-free dispatch: [Int_table.find] + exception instead of
    [find_opt] so a delivery does not box the handler in an option. *)
 let deliver_local node packet =
   let run f =
@@ -188,11 +188,11 @@ let deliver_local node packet =
   in
   match packet.Packet.l4 with
   | Packet.Udp h -> (
-      match Hashtbl.find node.udp_handlers h.Packet.udp_dst with
+      match Int_table.find node.udp_handlers h.Packet.udp_dst with
       | f -> run f
       | exception Not_found -> fallback node.udp_default)
   | Packet.Tcp h -> (
-      match Hashtbl.find node.tcp_handlers h.Packet.tcp_dst with
+      match Int_table.find node.tcp_handlers h.Packet.tcp_dst with
       | f -> run f
       | exception Not_found -> fallback node.tcp_default)
   | Packet.Raw -> unclaimed ()
@@ -359,8 +359,8 @@ let is_up node = node.up
 let reset_state node =
   node.hook <- None;
   node.promisc <- false;
-  Hashtbl.reset node.udp_handlers;
-  Hashtbl.reset node.tcp_handlers;
+  Int_table.reset node.udp_handlers;
+  Int_table.reset node.tcp_handlers;
   node.udp_default <- None;
   node.tcp_default <- None;
   node.cpu_cost <- 0.0;
@@ -376,8 +376,8 @@ let invalidate_forwarding node =
   match node.invalidation_hook with Some f -> f () | None -> ()
 let set_promiscuous node flag = node.promisc <- flag
 let promiscuous node = node.promisc
-let on_udp node ~port f = Hashtbl.replace node.udp_handlers port f
-let on_tcp node ~port f = Hashtbl.replace node.tcp_handlers port f
+let on_udp node ~port f = Int_table.replace node.udp_handlers port f
+let on_tcp node ~port f = Int_table.replace node.tcp_handlers port f
 let on_udp_default node f = node.udp_default <- Some f
 let on_tcp_default node f = node.tcp_default <- Some f
 

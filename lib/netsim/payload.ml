@@ -1,10 +1,13 @@
 (* Payloads are views, not copies.  A payload is either contiguous — a
    [base] string with an [off]/[len] window — or a pending concatenation
    ([parts] non-empty) whose bytes have not been materialized yet.  Byte
-   accessors [force] the node first: one allocation, memoized in place, so
-   repeated access and every slice taken afterwards share the same base.
-   [sub] and [concat] on the per-packet path therefore never copy bytes;
-   only [force] (first byte access of a rope) and [compact]/[to_string] do. *)
+   accessors read a rope's first part in place when the read lies inside
+   it, and [window] finds the one part holding a range; any other access
+   [force]s the node: one allocation, memoized in place, so repeated
+   access and every slice taken afterwards share the same base.  [sub] and
+   [concat] on the per-packet path therefore never copy bytes; only
+   [force] (a read that leaves the first part, or a range across parts)
+   and [compact]/[to_string] do. *)
 
 type t = {
   mutable base : string;
@@ -51,30 +54,60 @@ let check t off width op =
       (Printf.sprintf "Payload.%s: offset %d (width %d) out of bounds (len %d)"
          op off width t.len)
 
+(* The contiguous node holding bytes [off, off + width) of [t], at the
+   same offsets: [t] when it is contiguous; its first part's holder when
+   the range lies inside that part (a header read on a rope of header and
+   body never flattens it); else [t] itself, forced. *)
+let rec holder t off width =
+  if Array.length t.parts = 0 then t
+  else
+    let first = Array.unsafe_get t.parts 0 in
+    if off + width <= first.len then holder first off width
+    else (
+      force t;
+      t)
+
 let get_u8 t off =
   check t off 1 "get_u8";
-  force t;
-  Char.code (String.unsafe_get t.base (t.off + off))
+  let h = holder t off 1 in
+  Char.code (String.unsafe_get h.base (h.off + off))
 
 let get_u16 t off =
   check t off 2 "get_u16";
-  force t;
-  let base = t.base and o = t.off + off in
+  let h = holder t off 2 in
+  let base = h.base and o = h.off + off in
   (Char.code (String.unsafe_get base o) lsl 8)
   lor Char.code (String.unsafe_get base (o + 1))
 
 let get_u32 t off =
   check t off 4 "get_u32";
-  force t;
-  let base = t.base and o = t.off + off in
+  let h = holder t off 4 in
+  let base = h.base and o = h.off + off in
   (Char.code (String.unsafe_get base o) lsl 24)
   lor (Char.code (String.unsafe_get base (o + 1)) lsl 16)
   lor (Char.code (String.unsafe_get base (o + 2)) lsl 8)
   lor Char.code (String.unsafe_get base (o + 3))
 
-let backing t =
-  force t;
-  (t.base, t.off)
+(* [window]'s descent: the part of [t] whose bytes hold [pos, pos + len),
+   scanning parts from the [i]th, which starts at [start]. A range that
+   straddles two parts forces the node whose parts it straddles, and
+   only that node. *)
+let rec window_in t pos len =
+  if Array.length t.parts = 0 then (t.base, t.off + pos)
+  else part_window t 0 0 pos len
+
+and part_window t i start pos len =
+  let part = t.parts.(i) in
+  let stop = start + part.len in
+  if pos + len > stop then part_window t (i + 1) stop pos len
+  else if pos >= start then window_in part (pos - start) len
+  else (
+    force t;
+    (t.base, pos))
+
+let window t ~pos ~len =
+  check t pos len "window";
+  window_in t pos len
 
 let sub t ~pos ~len =
   check t pos len "sub";

@@ -7,10 +7,14 @@
 
     Representation: a payload is a [(base, off, len)] view over a shared
     string, or a lazily-flattened concatenation of such views.  [sub] and
-    [concat] are O(1) and never copy bytes; the first byte access of a
-    concatenation materializes it once (memoized in place).  Use {!compact}
-    at the few sites that need the storage trimmed to exactly the payload's
-    own bytes. *)
+    [concat] are O(1) and never copy bytes.  A concatenation is read in
+    place where it can be: {!get_u8}, {!get_u16} and {!get_u32} read its
+    first part when the read lies inside that part (a frame built as a
+    header part plus a body read its header without flattening), and
+    {!window} reads whichever single part holds a range.  Any other byte
+    access materializes the concatenation once (memoized in place).  Use
+    {!compact} at the few sites that need the storage trimmed to exactly
+    the payload's own bytes. *)
 
 type t
 
@@ -20,19 +24,29 @@ val to_string : t -> string
 val of_bytes : bytes -> t
 val length : t -> int
 
-(** [get_u8 payload off] reads one byte.
+(** [get_u8 payload off] reads one byte. On a concatenation whose first
+    part holds the bytes read, it reads that part in place (recursively,
+    through nested first parts); otherwise it forces the concatenation.
+    Allocates nothing on a contiguous payload.
     @raise Invalid_argument when out of bounds (all accessors). *)
 val get_u8 : t -> int -> int
 
+(** Big-endian; the first-part rule of {!get_u8} applies to the whole
+    read. *)
 val get_u16 : t -> int -> int
+
 val get_u32 : t -> int -> int
 
-(** [backing payload] is [(base, off)]: the string holding the payload's
-    bytes, which are [base.[off] .. base.[off + length payload - 1]].
-    Forces a pending concatenation first. The string is shared with the
-    payload and every view of it; read it, never mutate it. For kernels
-    that scan a whole payload with [String]'s own accessors. *)
-val backing : t -> string * int
+(** [window payload ~pos ~len] is [(base, off)]: a string holding the
+    payload's bytes [pos .. pos + len - 1] at [base.[off] ..
+    base.[off + len - 1]]. On a concatenation it is the string of the one
+    part (at any depth) that holds the whole range, so nothing is copied;
+    only a range across two parts forces, and then only the smallest
+    concatenation that holds it. The string is shared with the payload
+    and its views; read it, never mutate it. For kernels that scan a
+    range with [String]'s own accessors.
+    @raise Invalid_argument when the range is out of bounds. *)
+val window : t -> pos:int -> len:int -> string * int
 
 (** [sub payload ~pos ~len] extracts a slice — an O(1) view sharing the
     parent's bytes, not a copy. *)

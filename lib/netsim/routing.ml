@@ -1,17 +1,17 @@
 type route = { ifindex : int; next_hop : Addr.t option }
 
 type table = {
-  hosts : (Addr.t, route) Hashtbl.t;
+  hosts : route Int_table.t;
   mutable default : route option;
 }
 
-let create () = { hosts = Hashtbl.create 32; default = None }
-let add_host table dst route = Hashtbl.replace table.hosts dst route
-let remove_host table dst = Hashtbl.remove table.hosts dst
+let create () = { hosts = Int_table.create 32; default = None }
+let add_host table dst route = Int_table.replace table.hosts dst route
+let remove_host table dst = Int_table.remove table.hosts dst
 let set_default table route = table.default <- route
 
 let lookup table dst =
-  match Hashtbl.find_opt table.hosts dst with
+  match Int_table.find_opt table.hosts dst with
   | Some route -> Some route
   | None -> table.default
 
@@ -21,21 +21,21 @@ exception No_route
    no [Some] wrapper per packet (raising a constant exception does not
    allocate). *)
 let find table dst =
-  match Hashtbl.find table.hosts dst with
+  match Int_table.find table.hosts dst with
   | route -> route
   | exception Not_found -> (
       match table.default with Some route -> route | None -> raise No_route)
 
 let clear table =
-  Hashtbl.reset table.hosts;
+  Int_table.reset table.hosts;
   table.default <- None
 
-let clear_hosts table = Hashtbl.reset table.hosts
+let clear_hosts table = Int_table.reset table.hosts
 
-(* Hashtbl.fold order is unspecified; sort so [entries] (and therefore
+(* Int_table.fold order is unspecified; sort so [entries] (and therefore
    [pp]) is deterministic across runs and OCaml versions. *)
 let entries table =
-  Hashtbl.fold (fun dst route acc -> (dst, route) :: acc) table.hosts []
+  Int_table.fold (fun dst route acc -> (dst, route) :: acc) table.hosts []
   |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
 
 let pp fmt table =

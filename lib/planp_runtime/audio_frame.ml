@@ -180,14 +180,19 @@ module Wire = struct
           if len - 7 <> bytes_per_frame quality * frames then None
           else Some { seq = Payload.get_u32 payload 0; quality; frames }
 
-  (* A fresh frame of [quality] and [frames], its seq copied from the
-     frame at [off] in [base]; the caller fills in the samples. *)
-  let blank base off quality frames =
-    let out = Bytes.create (7 + (bytes_per_frame quality * frames)) in
-    Bytes.blit_string base off out 0 4;
+  (* A frame's 7 header bytes, at the start of [out]. *)
+  let write_header out seq quality frames =
+    Bytes.set_uint16_be out 0 ((seq lsr 16) land 0xffff);
+    Bytes.set_uint16_be out 2 (seq land 0xffff);
     Bytes.set_uint8 out 4 (quality_code quality);
-    Bytes.set_uint16_be out 5 frames;
-    out
+    Bytes.set_uint16_be out 5 (frames land 0xffff)
+
+  (* A frame's header on its own, the first part of the frames that
+     [synth] and [restore] build as parts. *)
+  let head seq quality frames =
+    let out = Bytes.create 7 in
+    write_header out seq quality frames;
+    Payload.of_string (Bytes.unsafe_to_string out)
 
   (* Unchecked 16- and 32-bit access in native byte order. Each use
      below sits after a check that covers it, named at the use. *)
@@ -205,12 +210,21 @@ module Wire = struct
     if Sys.big_endian then set16u b i v else set16u b i (swap16 v)
 
   (* The one range check per frame that the unchecked reads below rely
-     on: the body [off + 7, off + 7 + bytes_per_frame quality * frames)
-     lies inside [base]. [header] already accepted exactly that length,
+     on: the body, [bytes_per_frame quality * frames] bytes from [src],
+     lies inside [base]. [Payload.window] returned exactly that range,
      so this only fails if the two disagree. *)
-  let check_body base off quality frames =
-    if off < 0 || off + 7 + (bytes_per_frame quality * frames) > String.length base
-    then invalid_arg "Audio_frame.Wire: frame body outside its backing string"
+  let check_body base src quality frames =
+    if src < 0 || src + (bytes_per_frame quality * frames) > String.length base
+    then invalid_arg "Audio_frame.Wire: frame body outside its window"
+
+  (* The body of a frame whose header is [h]: the string and offset of
+     its samples. *)
+  let body payload h =
+    let ((base, src) as body) =
+      Payload.window payload ~pos:7 ~len:(bytes_per_frame h.quality * h.frames)
+    in
+    check_body base src h.quality h.frames;
+    body
 
   let finish out = Payload.of_string (Bytes.unsafe_to_string out)
 
@@ -225,16 +239,15 @@ module Wire = struct
   let degrade payload target =
     match header payload with
     | None -> None
-    | Some { quality; frames; _ } ->
+    | Some ({ seq; quality; frames } as h) ->
         (* Only a strictly lower target changes the bytes. *)
         if quality_code target <= quality_code quality then Some payload
         else begin
-          let base, off = Payload.backing payload in
-          check_body base off quality frames;
-          let src = off + 7 in
-          (* [blank] sizes [out] to [7 + bytes_per_frame target * frames],
-             so every write below is in range. *)
-          let out = blank base off target frames in
+          let base, src = body payload h in
+          (* [out] holds [7 + bytes_per_frame target * frames] bytes, so
+             every write below is in range. *)
+          let out = Bytes.create (7 + (bytes_per_frame target * frames)) in
+          write_header out seq target frames;
           (match (quality, target) with
           | Stereo16, Mono16 ->
               for i = 0 to frames - 1 do
@@ -257,75 +270,101 @@ module Wire = struct
           Some (finish out)
         end
 
+  (* A restored frame is its header plus body parts of at most
+     [part_frames] sample frames: 2,040 bytes, a string of 256 words, the
+     largest block OCaml 5 allocates in the minor heap
+     ([Max_young_wosize]). A 3,535-byte frame in one block would go
+     straight to the major heap; in parts it is born and dies young. *)
+  let part_frames = 510
+
+  (* Sample frames [first, first + count) of a [quality] body at [src]
+     of [base], restored to [Stereo16] as one part. *)
+  let restore_part base src quality first count =
+    (* [out] holds [4 * count] bytes, so every write below is in range. *)
+    let out = Bytes.create (4 * count) in
+    (match quality with
+    | Mono16 ->
+        (* Both channels get the sample's two bytes unchanged, so no
+           byte swap is needed. *)
+        for i = 0 to count - 1 do
+          (* read covered by [check_body] on [Mono16] *)
+          let raw = get16u base (src + (2 * (first + i))) in
+          set16u out (4 * i) raw;
+          set16u out ((4 * i) + 2) raw
+        done
+    | Mono8 ->
+        for i = 0 to count - 1 do
+          (* read covered by [check_body] on [Mono8] *)
+          let sample = Char.code (String.unsafe_get base (src + first + i)) lsl 8 in
+          set_be out (4 * i) sample;
+          set_be out ((4 * i) + 2) sample
+        done
+    | Stereo16 -> assert false (* [restore] returns those unchanged *));
+    finish out
+
   let restore payload =
     match header payload with
     | None -> None
     | Some { quality = Stereo16; _ } -> Some payload
-    | Some { quality; frames; _ } ->
-        let base, off = Payload.backing payload in
-        check_body base off quality frames;
-        let src = off + 7 in
-        (* [blank] sizes [out] to [7 + 4 * frames], so every write below
-           is in range. *)
-        let out = blank base off Stereo16 frames in
-        (match quality with
-        | Mono16 ->
-            (* Both channels get the sample's two bytes unchanged, so no
-               byte swap is needed. *)
-            for i = 0 to frames - 1 do
-              (* read covered by [check_body] on [Mono16] *)
-              let raw = get16u base (src + (2 * i)) in
-              set16u out (7 + (4 * i)) raw;
-              set16u out (9 + (4 * i)) raw
-            done
-        | Mono8 ->
-            for i = 0 to frames - 1 do
-              (* read covered by [check_body] on [Mono8] *)
-              let sample = Char.code (String.unsafe_get base (src + i)) lsl 8 in
-              set_be out (7 + (4 * i)) sample;
-              set_be out (9 + (4 * i)) sample
-            done
-        | Stereo16 -> assert false (* returned above *));
-        Some (finish out)
+    | Some ({ seq; quality; frames } as h) ->
+        let base, src = body payload h in
+        let rec parts first =
+          if first >= frames then []
+          else
+            let count = Int.min part_frames (frames - first) in
+            restore_part base src quality first count :: parts (first + part_frames)
+        in
+        Some (Payload.concat (head seq Stereo16 frames :: parts 0))
 
   (* [synth]'s stereo stream repeats every lcm(200, 37) samples: the
-     periods of [triangle] and [wobble]. [period] holds that many samples
-     as wire bytes, from sample 0. *)
+     periods of [triangle] and [wobble]. [periods] holds two periods as
+     wire bytes, from sample 0, so the samples of any frame of at most
+     one period from a phase [>= 0] lie in it as one range. *)
   let period_samples = 200 * 37
 
   let sample_bytes n out at =
     Bytes.set_int16_be out at (clamp16 (triangle n + wobble n));
     Bytes.set_int16_be out (at + 2) (clamp16 (triangle n - wobble n))
 
-  let period =
-    let out = Bytes.create (4 * period_samples) in
-    for n = 0 to period_samples - 1 do
+  let periods =
+    let out = Bytes.create (8 * period_samples) in
+    for n = 0 to (2 * period_samples) - 1 do
       sample_bytes n out (4 * n)
     done;
     Bytes.unsafe_to_string out
 
+  let periods_payload = Payload.of_string periods
+
   let synth ~seq ~frames ~phase =
-    let out = Bytes.create (7 + (4 * frames)) in
-    Bytes.set_uint16_be out 0 ((seq lsr 16) land 0xffff);
-    Bytes.set_uint16_be out 2 (seq land 0xffff);
-    Bytes.set_uint8 out 4 (quality_code Stereo16);
-    Bytes.set_uint16_be out 5 (frames land 0xffff);
-    (* One blit per stretch of [period] the frame covers. *)
-    let i = ref 0 in
-    while !i < frames do
-      let n = phase + !i in
-      if n < 0 then begin
-        (* [mod] is negative below 0, where the stream does not repeat
-           from [period]: those samples take the formula. *)
-        sample_bytes n out (7 + (4 * !i));
-        incr i
-      end
-      else begin
-        let k = n mod period_samples in
-        let run = Int.min (frames - !i) (period_samples - k) in
-        Bytes.blit_string period (4 * k) out (7 + (4 * !i)) (4 * run);
-        i := !i + run
-      end
-    done;
-    finish out
+    if phase >= 0 && 0 <= frames && frames <= period_samples then
+      (* A new header over bytes that already exist. *)
+      Payload.concat
+        [
+          head seq Stereo16 frames;
+          Payload.sub periods_payload
+            ~pos:(4 * (phase mod period_samples))
+            ~len:(4 * frames);
+        ]
+    else begin
+      let out = Bytes.create (7 + (4 * frames)) in
+      write_header out seq Stereo16 frames;
+      (* One blit per stretch of a period the frame covers. *)
+      let i = ref 0 in
+      while !i < frames do
+        let n = phase + !i in
+        if n < 0 then begin
+          (* [mod] is negative below 0, where the stream does not repeat
+             from [periods]: those samples take the formula. *)
+          sample_bytes n out (7 + (4 * !i));
+          incr i
+        end
+        else begin
+          let k = n mod period_samples in
+          let run = Int.min (frames - !i) ((2 * period_samples) - k) in
+          Bytes.blit_string periods (4 * k) out (7 + (4 * !i)) (4 * run);
+          i := !i + run
+        end
+      done;
+      finish out
+    end
 end

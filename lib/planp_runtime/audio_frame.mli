@@ -70,10 +70,19 @@ val pp : Format.formatter -> t -> unit
     byte-equal to the reference round trip through {!t}.
 
     {!degrade} and {!restore} pick one loop per (source quality, target
-    quality) pair once per frame. Each checks once that the body
-    [[off + 7, off + 7 + bytes_per_frame quality * frames)] lies inside
-    the payload's backing string, then reads and writes every sample
-    without a bounds check. The result is always a fresh frame. *)
+    quality) pair once per frame. Each takes the body's string and offset
+    from {!Netsim.Payload.window} (one part of a rope, so a frame from
+    {!synth} is read in place), checks once that the
+    [bytes_per_frame quality * frames] bytes from that offset lie inside
+    the string, then reads and writes every sample without a bounds
+    check. The seq of a new frame comes from the parsed header.
+
+    No frame of the audio experiment (882 sample frames, 20 ms) is
+    allocated straight into the major heap: {!synth} builds a 7-byte
+    header over existing bytes, {!degrade}'s outputs are at most 1,771
+    bytes, and {!restore} builds its 3,535 bytes in parts of at most
+    2,040. Each of those blocks is at most OCaml 5's [Max_young_wosize]
+    of 256 words, so it is born, and usually dies, in the minor heap. *)
 module Wire : sig
   type header = { seq : int; quality : quality; frames : int }
 
@@ -82,23 +91,35 @@ module Wire : sig
   val header : Netsim.Payload.t -> header option
 
   (** [degrade payload quality] is [encode (degrade (decode payload)
-      quality)] in one pass over the samples. A target that is not lower
-      than the frame's quality returns [payload] itself.
+      quality)] in one pass over the samples, as one contiguous frame. A
+      target that is not lower than the frame's quality returns [payload]
+      itself.
       @raise Invalid_argument if the body the header accepted does not
-      lie inside the payload's backing string (the per-frame range
-      check; it cannot fail for a payload built by {!Netsim.Payload}). *)
+      lie inside the string {!Netsim.Payload.window} returned for it (the
+      per-frame range check; it cannot fail for a payload built by
+      {!Netsim.Payload}). *)
   val degrade : Netsim.Payload.t -> quality -> Netsim.Payload.t option
 
   (** [restore payload] is [encode (restore (decode payload))] in one
-      pass; a [Stereo16] frame returns [payload] itself.
+      pass; a [Stereo16] frame returns [payload] itself. The new frame is
+      a concatenation: its 7-byte header, then the samples in parts of at
+      most 510 sample frames. 510 frames are 2,040 bytes, a string of
+      256 words, the largest block the minor heap takes; one 3,535-byte
+      block for a 20 ms frame would be allocated in the major heap and
+      kept until a major collection. The header is the first part, so
+      {!header} reads it in place.
       @raise Invalid_argument as {!degrade}. *)
   val restore : Netsim.Payload.t -> Netsim.Payload.t option
 
   (** [synth ~seq ~frames ~phase] is [encode (synth ~seq ~frames ~phase)].
       The test signal repeats every 7,400 samples (lcm of the triangle's
-      200 and the wobble's 37), so one period is built as wire bytes when
-      the module is initialized, and each frame is one copy from it per
-      period boundary it crosses. Samples at negative positions
-      ([phase + i < 0]) do not repeat and are computed one by one. *)
+      200 and the wobble's 37), so two periods back to back (59.2 kB) are
+      built as wire bytes when the module is initialized. A frame of at
+      most 7,400 sample frames from a [phase >= 0] lies inside that table
+      as one range, and is returned as a new 7-byte header concatenated
+      with a view of it: no sample is copied. Longer frames and negative
+      phases take the copying path, one copy per stretch of the table;
+      samples at negative positions ([phase + i < 0]) do not repeat and
+      are computed one by one. *)
   val synth : seq:int -> frames:int -> phase:int -> Netsim.Payload.t
 end

@@ -301,7 +301,7 @@ let http_shared_response_body () =
               (Printf.sprintf "file %d segment %d length" file k)
               (Int.min mss (size - (k * mss)))
               len;
-            let base, off = Payload.backing body in
+            let base, off = Payload.window body ~pos:0 ~len in
             checkb
               (Printf.sprintf "file %d segment %d all 0x55" file k)
               true (all_55 (base, off, len)))
@@ -311,9 +311,10 @@ let http_shared_response_body () =
   in
   checkb "some response spans several segments" true
     (List.length bodies > List.length files);
-  let shared = fst (Payload.backing (List.hd bodies)) in
+  let base body = fst (Payload.window body ~pos:0 ~len:(Payload.length body)) in
+  let shared = base (List.hd bodies) in
   checkb "every segment is a view of one body" true
-    (List.for_all (fun body -> fst (Payload.backing body) == shared) bodies);
+    (List.for_all (fun body -> base body == shared) bodies);
   check "the shared body is one segment long" mss (String.length shared);
   checkb "the shared body still reads all 0x55" true
     (all_55 (shared, 0, String.length shared))

@@ -405,6 +405,24 @@ let cli_run_domains_invalid () =
   checkb "says how far the topology splits" true
     (contains output2 "splits into")
 
+let cli_run_faults_not_finite () =
+  (* A NaN fault time used to reach Engine.schedule and end the run with
+     an uncaught exception; the parser now refuses it by line. *)
+  let path = write_program forwarder in
+  let faults =
+    write_tmp ".faults"
+      "at nan until 14.0 congest lan bandwidth 0.001 queue 0.002\n"
+  in
+  let code, output =
+    run [ "run"; path; "-n"; "40"; "--faults"; faults ]
+  in
+  Sys.remove path;
+  Sys.remove faults;
+  check "exit 1" 1 code;
+  checkb "names the line and field" true
+    (contains output "line 1: at: not a finite number (nan)");
+  checkb "no uncaught exception" false (contains output "uncaught")
+
 let cli_adapt_bad_policy () =
   let path = write_program forwarder in
   let policy = write_tmp ".pol" "period 0.5\nrule oops: when x ?? 3 do swap a b\n" in
@@ -459,6 +477,8 @@ let () =
             cli_run_domains_parity;
           Alcotest.test_case "run --domains invalid" `Quick
             cli_run_domains_invalid;
+          Alcotest.test_case "run --faults not finite" `Quick
+            cli_run_faults_not_finite;
           Alcotest.test_case "adapt bad policy" `Quick cli_adapt_bad_policy;
           Alcotest.test_case "adapt unwired signal" `Quick
             cli_adapt_unwired_signal;

@@ -98,7 +98,26 @@ let parse_scenario_errors () =
   expect_error "until before at" "at 2.0 until 1.0 link down uplink\n";
   expect_error "unknown keyword" "at 1.0 link explode uplink\n";
   expect_error "bad factor" "at 1.0 until 2.0 congest x bandwidth 0.0\n";
-  expect_error "trailing junk" "at 1.0 reroute zebra\n"
+  expect_error "trailing junk" "at 1.0 reroute zebra\n";
+  (* NaN passes every range check and an infinite time never comes:
+     each non-finite number is refused with its field and text. *)
+  let expect_message label text message =
+    match Faults.parse_scenario text with
+    | Error got -> Alcotest.(check string) label message got
+    | Ok _ -> Alcotest.failf "%s: expected a parse error" label
+  in
+  expect_message "nan start"
+    "at nan until 14.0 congest lan bandwidth 0.001 queue 0.002\n"
+    "line 1: at: not a finite number (nan)";
+  expect_message "nan probability"
+    "seed 3\nat 1.0 until 3.0 segment loss lan nan\n"
+    "line 2: segment loss: not a finite number (nan)";
+  expect_message "infinite end" "at 1.0 until inf link down uplink\n"
+    "line 1: until: not a finite number (inf)";
+  expect_message "infinite start" "at -inf link down uplink\n"
+    "line 1: at: not a finite number (-inf)";
+  expect_message "nan factor" "at 1.0 until 2.0 congest x queue nan\n"
+    "line 1: queue: not a finite number (nan)"
 
 let arm_rejects_unknown_target () =
   let topo = Topology.create () in

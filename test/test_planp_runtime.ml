@@ -256,6 +256,45 @@ let audio_restore_format () =
   checkb "stereo16 format" true (restored.Audio_frame.quality = Audio_frame.Stereo16);
   check "same frame count" 50 (Audio_frame.frame_count restored)
 
+(* The audio datapath's frames are minor-heap blocks: [Wire.synth] is a
+   header over a slice of its period table, [Wire.degrade]'s outputs are
+   at most 1,771 bytes at 882 frames (a 20 ms frame), and [Wire.restore]
+   builds its 3,535-byte output in parts of at most 2,040 bytes. So
+   10,000 rounds of synth, degrade and restore allocate nothing directly
+   in the major heap and finish no major collection. *)
+let audio_frames_off_major_heap () =
+  let module Wire = Audio_frame.Wire in
+  let frames = 882 in
+  let round i =
+    let frame = Wire.synth ~seq:i ~frames ~phase:(i * frames) in
+    let target = if i land 1 = 0 then Audio_frame.Mono16 else Audio_frame.Mono8 in
+    match Wire.degrade frame target with
+    | None -> Alcotest.fail "synth frame rejected"
+    | Some degraded -> (
+        match Wire.restore degraded with
+        | None -> Alcotest.fail "degraded frame rejected"
+        | Some restored -> Payload.get_u8 restored 4)
+  in
+  (* One round first: the period table and the closures are set up. The
+     runtime adds a domain's direct major-heap words to its counters at
+     the next collection, so one precedes each reading. *)
+  ignore (round 0);
+  Gc.full_major ();
+  let before = Gc.quick_stat () in
+  let qualities = ref 0 in
+  for i = 1 to 10_000 do
+    qualities := !qualities + round i
+  done;
+  Gc.minor ();
+  let after = Gc.quick_stat () in
+  check "every restored frame is stereo16" 0 !qualities;
+  let direct s = s.Gc.major_words -. s.Gc.promoted_words in
+  Alcotest.(check (float 0.0))
+    "words allocated directly in the major heap" 0.0
+    (direct after -. direct before);
+  check "major collections" 0
+    (after.Gc.major_collections - before.Gc.major_collections)
+
 let audio_prims () =
   let frame = Audio_frame.synth ~seq:9 ~frames:40 ~phase:0 in
   let blob = Value.Vblob (Audio_frame.encode frame) in
@@ -620,6 +659,8 @@ let () =
           Alcotest.test_case "sizes" `Quick audio_sizes;
           Alcotest.test_case "degrade monotone" `Quick audio_degrade_monotone;
           Alcotest.test_case "restore format" `Quick audio_restore_format;
+          Alcotest.test_case "frames off the major heap" `Quick
+            audio_frames_off_major_heap;
           Alcotest.test_case "primitives" `Quick audio_prims;
         ] );
       ( "interp",

@@ -15,10 +15,10 @@ module Audio_frame = Planp_runtime.Audio_frame
 
 let () = Planp_runtime.Prims.install ()
 
-(* The generated-program, decoder-fuzz, audio wire-kernel and scheduler
-   properties run [prop_scale] times their default case count when
-   PLANP_PROP_SCALE is set (CI's release job sets 10), so a local
-   [dune runtest] stays fast. *)
+(* The generated-program, decoder-fuzz, audio wire-kernel, payload
+   concatenation, int-table and scheduler properties run [prop_scale]
+   times their default case count when PLANP_PROP_SCALE is set (CI's
+   release job sets 10), so a local [dune runtest] stays fast. *)
 let prop_scale =
   match Option.bind (Sys.getenv_opt "PLANP_PROP_SCALE") int_of_string_opt with
   | Some n when n > 0 -> n
@@ -140,6 +140,169 @@ let payload_u32_roundtrip =
       let r = Payload.Reader.create (Payload.Writer.finish w) in
       List.for_all (fun v -> Payload.Reader.u32 r = v) values
       && Payload.Reader.remaining r = 0)
+
+(* Random nested concatenations of strings and views. A leaf is [text]
+   held in [storage]: the string itself ([pad = 0]) or a copy padded with
+   [pad] bytes in front, read through a view. The property builds a
+   fresh, unforced payload for every read, so a read that forces one
+   node cannot hide how the next read would have gone on a rope. *)
+type payload_tree =
+  | Leaf of { text : string; storage : string; pad : int }
+  | Cat of payload_tree list
+
+let payload_tree_gen =
+  let open Q.Gen in
+  let leaf =
+    let* text = string_size ~gen:char (int_range 0 9) in
+    let+ pad = frequency [ (1, return 0); (1, int_range 1 3) ] in
+    let storage = if pad = 0 then text else String.make pad '<' ^ text ^ ">" in
+    Leaf { text; storage; pad }
+  in
+  sized_size (int_range 0 3)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               (2, map (fun l -> Cat l) (list_size (int_range 1 4) (self (depth - 1)))) ])
+
+let rec payload_tree_leaves = function
+  | Leaf { text; storage; pad } -> [ (text, storage, pad) ]
+  | Cat parts -> List.concat_map payload_tree_leaves parts
+
+let rec payload_of_tree = function
+  | Leaf { storage; pad = 0; _ } -> Payload.of_string storage
+  | Leaf { text; storage; pad } ->
+      Payload.sub (Payload.of_string storage) ~pos:pad ~len:(String.length text)
+  | Cat parts -> Payload.concat (List.map payload_of_tree parts)
+
+let payload_concat_reads_in_place =
+  Q.Test.make ~name:"payload: reads on nested concatenations match the flat bytes"
+    ~count:(300 * prop_scale)
+    (Q.make ~print:(fun tree ->
+         String.concat " | "
+           (List.map (fun (text, _, pad) -> Printf.sprintf "%S+%d" text pad)
+              (payload_tree_leaves tree)))
+       payload_tree_gen)
+    (fun tree ->
+      let leaves = payload_tree_leaves tree in
+      let flat = String.concat "" (List.map (fun (text, _, _) -> text) leaves) in
+      let len = String.length flat in
+      let fresh () = payload_of_tree tree in
+      let byte i = Char.code flat.[i] in
+      let reads_agree =
+        List.for_all
+          (fun off ->
+            (off + 1 > len || Payload.get_u8 (fresh ()) off = byte off)
+            && (off + 2 > len
+               || Payload.get_u16 (fresh ()) off = (byte off lsl 8) lor byte (off + 1))
+            && (off + 4 > len
+               || Payload.get_u32 (fresh ()) off
+                  = (byte off lsl 24) lor (byte (off + 1) lsl 16)
+                    lor (byte (off + 2) lsl 8) lor byte (off + 3)))
+          (List.init len Fun.id)
+      in
+      let window_agrees pos wlen =
+        let base, off = Payload.window (fresh ()) ~pos ~len:wlen in
+        off >= 0
+        && off + wlen <= String.length base
+        && String.sub base off wlen = String.sub flat pos wlen
+      in
+      let windows_agree =
+        List.for_all
+          (fun pos ->
+            List.for_all
+              (fun wlen -> wlen > len - pos || window_agrees pos wlen)
+              [ 0; 1; 2; 3; 4; 7; 11; len - pos ])
+          (List.init (len + 1) Fun.id)
+      in
+      (* A window inside one leaf is that leaf's own storage: nothing
+         was flattened. *)
+      let _, in_part =
+        List.fold_left
+          (fun (start, ok) (text, storage, pad) ->
+            let n = String.length text in
+            let ok =
+              ok
+              && List.for_all
+                   (fun (lo, hi) ->
+                     let base, off = Payload.window (fresh ()) ~pos:(start + lo) ~len:(hi - lo) in
+                     base == storage && off = pad + lo)
+                   (if n = 0 then [] else [ (0, n); (n / 2, n); (0, (n + 1) / 2) ])
+            in
+            (start + n, ok))
+          (0, true) leaves
+      in
+      reads_agree && windows_agree && in_part)
+
+(* [Netsim.Int_table] against an association list, most recent binding
+   first, under random add, replace, remove and find. Keys are host
+   addresses [10.a.b.1] that differ only in their middle octets, the
+   shape that defeats an identity hash; the table starts at one bucket,
+   so it resizes on the way. *)
+let int_table_matches_model =
+  let open Q.Gen in
+  let key = map2 (fun a b -> Netsim.Addr.of_octets 10 a b 1) (int_bound 7) (int_bound 7) in
+  let op =
+    frequency
+      [ (3, map2 (fun k v -> `Add (k, v)) key (int_bound 99));
+        (3, map2 (fun k v -> `Replace (k, v)) key (int_bound 99));
+        (2, map (fun k -> `Remove k) key);
+        (2, map (fun k -> `Find k) key) ]
+  in
+  let print_op = function
+    | `Add (k, v) -> Printf.sprintf "add %s %d" (Netsim.Addr.to_string k) v
+    | `Replace (k, v) -> Printf.sprintf "replace %s %d" (Netsim.Addr.to_string k) v
+    | `Remove k -> "remove " ^ Netsim.Addr.to_string k
+    | `Find k -> "find " ^ Netsim.Addr.to_string k
+  in
+  Q.Test.make ~name:"int_table: add/replace/remove/find match an association list"
+    ~count:(300 * prop_scale)
+    (Q.make ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+       (list_size (int_range 0 300) op))
+    (fun ops ->
+      let table = Netsim.Int_table.create 1 in
+      let rec remove_first k = function
+        | [] -> []
+        | (k', _) :: rest when k' = k -> rest
+        | binding :: rest -> binding :: remove_first k rest
+      in
+      let step model = function
+        | `Add (k, v) ->
+            Netsim.Int_table.add table k v;
+            (k, (k, v) :: model)
+        | `Replace (k, v) ->
+            Netsim.Int_table.replace table k v;
+            (k, if List.mem_assoc k model then (k, v) :: remove_first k model
+                else (k, v) :: model)
+        | `Remove k ->
+            Netsim.Int_table.remove table k;
+            (k, remove_first k model)
+        | `Find k -> (k, model)
+      in
+      let agrees model k =
+        Netsim.Int_table.find_opt table k = List.assoc_opt k model
+        && Netsim.Int_table.find_all table k
+           = List.filter_map (fun (k', v) -> if k' = k then Some v else None) model
+        && Netsim.Int_table.length table = List.length model
+      in
+      let final =
+        List.fold_left
+          (fun model op ->
+            match model with
+            | None -> None
+            | Some model ->
+                let k, model = step model op in
+                if agrees model k then Some model else None)
+          (Some []) ops
+      in
+      match final with
+      | None -> false
+      | Some model ->
+          List.for_all
+            (fun a -> List.for_all (fun b -> agrees model (Netsim.Addr.of_octets 10 a b 1))
+                        (List.init 8 Fun.id))
+            (List.init 8 Fun.id))
 
 let audio_frame_roundtrip =
   let sample = Q.Gen.int_range (-32768) 32767 in
@@ -265,15 +428,21 @@ let audio_wire_matches_reference =
       && matches (Wire.restore p) Audio_frame.restore ~unchanged:(fun frame ->
              frame.Audio_frame.quality = Audio_frame.Stereo16))
 
-(* [Wire.synth] copies from one period of the stream, 7,400 samples
-   (lcm of the triangle's 200 and the wobble's 37), and takes the formula
-   below sample 0. A share of the phases puts a frame across one of
-   those seams: within [frames] of 0 or of a multiple of 7,400. *)
+(* [Wire.synth] takes a frame of at most one period of the stream,
+   7,400 samples (lcm of the triangle's 200 and the wobble's 37), from a
+   phase >= 0 as a view into a two-period table; a longer frame or one
+   that starts below sample 0 is copied, with the formula below 0. A
+   share of the frame counts sit around 7,400, so both paths run, and a
+   share of the phases puts a frame across a seam: within [frames] of 0
+   or of a multiple of 7,400. *)
 let audio_wire_synth =
   let gen =
     let open Q.Gen in
     let* seq = int in
-    let* frames = frequency [ (9, int_range 0 300); (1, int_range 65530 65540) ] in
+    let* frames =
+      frequency
+        [ (7, int_range 0 300); (2, int_range 7_390 7_410); (1, int_range 65530 65540) ]
+    in
     let near anchor = map (fun d -> anchor + d) (int_range (-frames) frames) in
     let+ phase =
       frequency
@@ -1483,6 +1652,8 @@ let () =
         sched_matches_reference_model;
         bucket_int_float_parity;
         payload_u32_roundtrip;
+        payload_concat_reads_in_place;
+        int_table_matches_model;
         audio_frame_roundtrip;
         audio_degrade_size;
         audio_wire_matches_reference;
