@@ -856,7 +856,6 @@ let adapt_cmd =
                     })
                   (List.assoc_opt variant variant_sources));
           de_concurrency = 2;
-          de_nak_policy = Extnet.Deploy.Controller.Abort;
           de_nak_quarantine = 3;
         }
       in

@@ -10,7 +10,6 @@ type deploy_env = {
   de_targets_of : string -> Addr.t list;
   de_variant_of : program:string -> variant:string -> variant option;
   de_concurrency : int;
-  de_nak_policy : Controller.nak_policy;
   de_nak_quarantine : int;
 }
 
@@ -150,11 +149,12 @@ let note_target_outcome t ~rule ~program target outcome =
       end
   | Controller.Timed_out | Controller.Skipped | Controller.Aborted _ -> ()
 
-let acked_targets outcomes =
-  List.filter_map
-    (fun (target, outcome) ->
-      match outcome with Controller.Acked _ -> Some target | _ -> None)
-    outcomes
+let count_acked outcomes =
+  List.length
+    (List.filter
+       (fun (_, outcome) ->
+         match outcome with Controller.Acked _ -> true | _ -> false)
+       outcomes)
 
 let max_epoch outcomes =
   List.fold_left
@@ -172,48 +172,13 @@ let first_failure outcomes =
       | outcome -> Some (Controller.outcome_to_string outcome))
     outcomes
 
-(* Restore a set of targets to the pre-swap state: rollback when the
-   plane knew a previous variant (every target was on it), undeploy when
-   the swap was the slot's first install. [on_done] receives whether
-   every restore was acknowledged. *)
-let restore_targets t ~previous ~targets ~program ~on_done =
-  let env = Option.get t.env in
-  match targets with
-  | [] -> on_done true
-  | targets -> (
-      match previous with
-      | Some _ ->
-          Controller.rollback_fleet env.de_controller
-            ~concurrency:env.de_concurrency ~targets ~name:program
-            ~on_done:(fun outcomes ->
-              on_done
-                (List.for_all
-                   (fun (_, o) ->
-                     match o with Controller.Acked _ -> true | _ -> false)
-                   outcomes))
-            ()
-      | None ->
-          let waiting = ref (List.length targets) in
-          let all_acked = ref true in
-          List.iter
-            (fun target ->
-              Controller.undeploy env.de_controller ~target ~name:program
-                ~on_done:(fun outcome ->
-                  (match outcome with
-                  | Controller.Acked _ -> ()
-                  | _ -> all_acked := false);
-                  decr waiting;
-                  if !waiting = 0 then on_done !all_acked)
-                ())
-            targets)
-
 (* The guard: [window] seconds after the fleet converges, the KPI must
-   be at least [min_ratio] of its pre-swap baseline or the swap rolls
-   back on every staged node at once (previous epoch if one exists,
-   undeploy for a first install) and the variant is quarantined for the
-   rest of the run. The program stays in-flight until the verdict so no
-   other op races the window. *)
-let schedule_guard t ~rule ~program ~variant ~previous ~baseline ~targets =
+   be at least [min_ratio] of its pre-swap baseline or every staged node
+   is restored to its pre-swap epoch at once ([prior], through
+   {!Controller.restore}) and the variant is quarantined for the rest of
+   the run. The program stays in-flight until the verdict so no other op
+   races the window. *)
+let schedule_guard t ~rule ~program ~variant ~previous ~baseline ~prior =
   match t.policy.Policy.guard with
   | None -> release t program
   | Some guard ->
@@ -236,10 +201,12 @@ let schedule_guard t ~rule ~program ~variant ~previous ~baseline ~targets =
                 (Printf.sprintf
                    "regression: %s %.3f < %.2f x %.3f, rolling back"
                    guard.Policy.g_signal post guard.Policy.g_min_ratio baseline);
-            restore_targets t ~previous ~targets ~program
-              ~on_done:(fun restored ->
+            let env = Option.get t.env in
+            Controller.restore env.de_controller
+              ~concurrency:env.de_concurrency ~name:program ~prior
+              ~on_done:(fun outcomes ->
                 release t program;
-                if restored then begin
+                if first_failure outcomes = None then begin
                   t.n_rollbacks <- t.n_rollbacks + 1;
                   Obs.Registry.incr t.m_rollbacks;
                   (match previous with
@@ -250,15 +217,16 @@ let schedule_guard t ~rule ~program ~variant ~previous ~baseline ~targets =
                   record t ~rule
                     ~what:(Printf.sprintf "rollback %s" program)
                     ~note:
-                      (if List.length targets = 1 then "ACK"
+                      (if List.length prior = 1 then "ACK"
                        else
                          Printf.sprintf "fleet of %d restored"
-                           (List.length targets))
+                           (List.length prior))
                 end
                 else
                   record t ~rule
                     ~what:(Printf.sprintf "rollback %s" program)
                     ~note:"failed: a staged node did not acknowledge")
+              ()
           end)
 
 let start_swap t rule ~program ~variant =
@@ -286,10 +254,20 @@ let start_swap t rule ~program ~variant =
             | None -> 0.0
           in
           let fleet = List.length targets in
+          (* Each target's acked epoch just before the swap: what a
+             failed guard restores it to. *)
+          let prior =
+            List.map
+              (fun target ->
+                ( target,
+                  Controller.epoch_of env.de_controller ~target ~name:program
+                ))
+              targets
+          in
           Obs.Registry.incr t.m_fleet_rollouts;
           Controller.rollout env.de_controller ~backend:env.de_backend
             ~authenticated:spec.v_authenticated
-            ~concurrency:env.de_concurrency ~on_nak:env.de_nak_policy
+            ~concurrency:env.de_concurrency ~on_nak:Controller.Abort
             ~on_target:(fun target outcome ->
               note_target_outcome t ~rule ~program target outcome;
               if fleet > 1 then
@@ -300,8 +278,7 @@ let start_swap t rule ~program ~variant =
                   ~note:(Controller.outcome_to_string outcome))
             ~targets ~name:program ~source:spec.v_source
             ~on_done:(fun outcomes ->
-              let acked = acked_targets outcomes in
-              let n_acked = List.length acked in
+              let n_acked = count_acked outcomes in
               let n_failed = List.length outcomes - n_acked in
               Obs.Registry.add t.m_fleet_targets_acked n_acked;
               Obs.Registry.add t.m_fleet_targets_failed n_failed;
@@ -320,7 +297,7 @@ let start_swap t rule ~program ~variant =
                          (max_epoch outcomes));
                 t.on_swap ~program ~variant;
                 schedule_guard t ~rule ~program ~variant ~previous ~baseline
-                  ~targets:acked
+                  ~prior
               end
               else begin
                 t.n_failed_swaps <- t.n_failed_swaps + 1;
@@ -335,37 +312,21 @@ let start_swap t rule ~program ~variant =
                      else
                        Printf.sprintf "failed: %d/%d targets acked (%s)"
                          n_acked fleet failure);
-                if n_acked = 0 then release t program
-                else begin
-                  (* A partial fleet must not stay mixed-epoch. Under
-                     [Abort] the controller already restored the staged
-                     nodes before reporting; under [Continue] the plane
-                     unwinds them here. Either way the previous variant
-                     stays the active one. *)
+                if n_acked > 0 then begin
+                  (* A partial fleet must not stay mixed-epoch: a NAK
+                     made the rollout restore the staged nodes before
+                     reporting, and the previous variant stays the
+                     active one. *)
                   t.n_partial_rollbacks <- t.n_partial_rollbacks + 1;
                   Obs.Registry.incr t.m_fleet_partial_rollbacks;
-                  match env.de_nak_policy with
-                  | Controller.Abort ->
-                      record t ~rule
-                        ~what:(Printf.sprintf "restore %s" program)
-                        ~note:
-                          (Printf.sprintf
-                             "%d staged node(s) restored by aborted rollout"
-                             n_acked);
-                      release t program
-                  | Controller.Continue ->
-                      restore_targets t ~previous ~targets:acked ~program
-                        ~on_done:(fun restored ->
-                          record t ~rule
-                            ~what:(Printf.sprintf "restore %s" program)
-                            ~note:
-                              (if restored then
-                                 Printf.sprintf "%d staged node(s) restored"
-                                   n_acked
-                               else
-                                 "failed: a staged node did not acknowledge");
-                          release t program)
-                end
+                  record t ~rule
+                    ~what:(Printf.sprintf "restore %s" program)
+                    ~note:
+                      (Printf.sprintf
+                         "%d staged node(s) restored by aborted rollout"
+                         n_acked)
+                end;
+                release t program
               end)
             ())
 
@@ -381,35 +342,27 @@ let start_undeploy t rule ~program =
   | targets ->
       t.in_flight <- program :: t.in_flight;
       let fleet = List.length targets in
-      let waiting = ref fleet in
-      let worst = ref None in
-      List.iter
-        (fun target ->
-          Controller.undeploy env.de_controller ~target ~name:program
-            ~on_done:(fun outcome ->
-              (match outcome with
-              | Controller.Acked _ -> ()
-              | outcome -> if !worst = None then worst := Some outcome);
-              decr waiting;
-              if !waiting = 0 then begin
-                release t program;
-                match !worst with
-                | None ->
-                    t.n_undeploys <- t.n_undeploys + 1;
-                    Obs.Registry.incr t.m_undeploys;
-                    t.active <- List.remove_assoc program t.active;
-                    record t ~rule
-                      ~what:(Printf.sprintf "undeploy %s" program)
-                      ~note:
-                        (if fleet = 1 then "ACK"
-                         else Printf.sprintf "fleet of %d retired" fleet)
-                | Some outcome ->
-                    record t ~rule
-                      ~what:(Printf.sprintf "undeploy %s" program)
-                      ~note:(Controller.outcome_to_string outcome)
-              end)
-            ())
-        targets
+      (* A restore with no prior epoch anywhere undeploys every target. *)
+      Controller.restore env.de_controller ~concurrency:env.de_concurrency
+        ~name:program
+        ~prior:(List.map (fun target -> (target, None)) targets)
+        ~on_done:(fun outcomes ->
+          release t program;
+          match first_failure outcomes with
+          | None ->
+              t.n_undeploys <- t.n_undeploys + 1;
+              Obs.Registry.incr t.m_undeploys;
+              t.active <- List.remove_assoc program t.active;
+              record t ~rule
+                ~what:(Printf.sprintf "undeploy %s" program)
+                ~note:
+                  (if fleet = 1 then "ACK"
+                   else Printf.sprintf "fleet of %d retired" fleet)
+          | Some failure ->
+              record t ~rule
+                ~what:(Printf.sprintf "undeploy %s" program)
+                ~note:failure)
+        ()
 
 (* Decide whether a due rule actually does anything. Hysteresis lives
    here: a swap to the variant that is already live (or one that is

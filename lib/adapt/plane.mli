@@ -5,12 +5,14 @@
     {!Deploy.Controller} rollouts, undeploying, retuning application
     parameters, or escalating. After every converged swap an optional KPI
     guard window compares the post-swap signal against its pre-swap
-    baseline and rolls regressions back on every staged node at once
-    (quarantining the variant for the run). A fleet is never left
-    mixed-epoch: a partially-acked rollout is unwound — by the
-    controller's abort restore under [Abort], by the plane under
-    [Continue] — before the previous variant resumes as the active one,
-    and a node that repeatedly NAKs is benched from later operations.
+    baseline and restores every staged node to its pre-swap epoch at
+    once (quarantining the variant for the run). A NAK never leaves the
+    fleet mixed-epoch: every rollout stages with [~on_nak:Abort], so the
+    controller unwinds the nodes already staged before the previous
+    variant resumes as the active one, and a node that repeatedly NAKs
+    is benched from later operations. Every unwind — the aborted
+    rollout's, the guard's and the undeploy action's — goes through
+    {!Deploy.Controller.restore}.
 
     Arming an empty policy ({!Policy.is_empty}) creates no monitor,
     schedules nothing and registers no metrics — runs are
@@ -24,7 +26,9 @@
 type variant = { v_source : string; v_authenticated : bool }
 
 (** How swap/undeploy actions reach the network: the controller the
-    program's daemons already know (so epochs stay ordered), lookups
+    program's daemons already know (so epochs stay ordered, and its
+    {!Deploy.Controller.epoch_of} names what a restore returns each node
+    to), lookups
     from policy names to target fleets and variant sources, and the
     staging discipline for coordinated rollouts. *)
 type deploy_env = {
@@ -35,11 +39,8 @@ type deploy_env = {
           (empty when the program has no deploy target) *)
   de_variant_of : program:string -> variant:string -> variant option;
   de_concurrency : int;
-      (** transfers in flight per rollout (see {!Deploy.Controller.rollout}) *)
-  de_nak_policy : Deploy.Controller.nak_policy;
-      (** [Abort]: first NAK stops the rollout and the controller
-          restores already-staged nodes; [Continue]: every target is
-          attempted and the plane unwinds partial convergence itself *)
+      (** operations in flight per rollout, restore or fleet-wide
+          undeploy (see {!Deploy.Controller.rollout}) *)
   de_nak_quarantine : int;
       (** consecutive NAKs from one node before the plane benches it *)
 }

@@ -89,9 +89,12 @@ let strip_quotes s =
 let rec parse_clauses acc = function
   | signal :: cmp :: threshold :: rest ->
       let threshold = float_tok "threshold" threshold in
-      (* Every comparison with nan is false: such a rule never fires. *)
+      (* Every comparison with nan is false (the rule never fires), and
+         one with an infinite bound ignores the signal altogether. *)
       if Float.is_nan threshold then
         fail "signal %s: threshold must be a number, got nan" signal;
+      if not (Float.is_finite threshold) then
+        fail "signal %s: threshold must be finite, got %g" signal threshold;
       let clause = Cmp { signal; cmp = cmp_of_token cmp; threshold } in
       (match rest with
       | "and" :: rest -> parse_clauses (clause :: acc) rest
@@ -102,7 +105,12 @@ let parse_action = function
   | [ "swap"; program; variant ] -> Swap { program; variant }
   | [ "undeploy"; program ] -> Undeploy { program }
   | [ "retune"; param; value ] ->
-      Retune { param; value = float_tok "retune value" value }
+      let value = float_tok "retune value" value in
+      (* A parameter consumer truncating nan or infinity to an int reads
+         0: a typo would silently zero it. *)
+      if not (Float.is_finite value) then
+        fail "retune %s: value must be finite, got %g" param value;
+      Retune { param; value }
   | "escalate" :: (_ :: _ as reason) ->
       Escalate { reason = strip_quotes (String.concat " " reason) }
   | tokens ->

@@ -274,7 +274,6 @@ let run config =
                       })
                     (variant_policy variant));
             de_concurrency = 2;
-            de_nak_policy = Deploy.Controller.Abort;
             de_nak_quarantine = 3;
           }
         in

@@ -229,7 +229,13 @@ let control_op t ~target ~name ~timeout ~make ~on_done =
        ~reply_port:conn.reply_port)
 
 let undeploy ?(timeout = 60.0) t ~target ~name ~on_done () =
-  control_op t ~target ~name ~timeout ~on_done
+  control_op t ~target ~name ~timeout
+    ~on_done:(fun outcome ->
+      (* The ACK names the retired epoch; the target now runs nothing. *)
+      (match outcome with
+      | Acked _ -> Hashtbl.remove t.acked_epochs (target, name)
+      | _ -> ());
+      on_done outcome)
     ~make:(fun ~epoch ~reply_addr ~reply_port ->
       Capsule.Undeploy { program = name; epoch; reply_addr; reply_port })
 
@@ -242,155 +248,80 @@ let epoch_of t ~target ~name = Hashtbl.find_opt t.acked_epochs (target, name)
 
 type nak_policy = Abort | Continue
 
+(* The staging loop under [rollout] and [restore]: one operation per
+   [(target, arg)] item, [start target arg k] launching it with [k] as
+   its completion. Items launch in list order with at most [concurrency] in
+   flight; once [stop] holds for a settled outcome, every untried item
+   settles [Skipped]. [on_done] fires exactly once — from the last
+   outcome to settle, when every item has launched — with one outcome
+   per target in input order. *)
+let stage ~concurrency ~stop ?on_target items ~start ~on_done =
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let results = Array.make n Skipped in
+  let next = ref 0 and unsettled = ref n and stopped = ref false in
+  let rec launch () =
+    if !next < n then begin
+      let i = !next in
+      incr next;
+      let target, arg = items.(i) in
+      if !stopped then settled i Skipped else start target arg (settled i)
+    end
+  and settled i outcome =
+    results.(i) <- outcome;
+    decr unsettled;
+    if stop outcome then stopped := true;
+    Option.iter (fun f -> f (fst items.(i)) outcome) on_target;
+    if !unsettled = 0 then
+      on_done
+        (Array.to_list (Array.mapi (fun i o -> (fst items.(i), o)) results))
+    else launch ()
+  in
+  if n = 0 then on_done []
+  else
+    for _ = 1 to min concurrency n do
+      launch ()
+    done
+
+let restore ?(concurrency = 2) ?timeout t ~name ~prior ~on_done () =
+  if concurrency <= 0 then invalid_arg "Controller.restore: concurrency";
+  stage ~concurrency ~stop:(fun _ -> false) prior
+    ~start:(fun target epoch k ->
+      match epoch with
+      | Some _ -> rollback ?timeout t ~target ~name ~on_done:k ()
+      | None -> undeploy ?timeout t ~target ~name ~on_done:k ())
+    ~on_done
+
 let rollout ?backend ?authenticated ?epoch ?(concurrency = 2)
     ?(on_nak = Continue) ?timeout ?on_target t ~targets ~name ~source ~on_done
     () =
   if concurrency <= 0 then invalid_arg "Controller.rollout: concurrency";
-  let targets = Array.of_list targets in
-  let n = Array.length targets in
-  (* Snapshot of each target's acked epoch before the rollout starts: an
-     aborted rollout restores acked targets to this state. *)
-  let prior = Array.map (fun target -> epoch_of t ~target ~name) targets in
-  let results = Array.make n None in
-  let next = ref 0 in
-  let unsettled = ref n in
-  let aborted = ref false in
-  let finished = ref false in
-  if n = 0 then on_done []
-  else begin
-    let notify i outcome =
-      match on_target with Some f -> f targets.(i) outcome | None -> ()
-    in
-    let outcome_list () =
-      Array.to_list
-        (Array.mapi
-           (fun i outcome -> (targets.(i), Option.value ~default:Skipped outcome))
-           results)
-    in
-    let finish () =
-      if not !finished then begin
-        finished := true;
-        on_done (outcome_list ())
-      end
-    in
-    (* An aborted rollout must not strand early targets on the new epoch
-       while the rest of the fleet never left the old one: once every
-       launched transfer settles, targets that already ACKed the aborted
-       epoch are restored — rolled back when they had a pre-rollout acked
-       epoch, undeployed when this rollout was their first install —
-       and [on_done] is deferred until the restores settle. The reported
-       outcome list keeps each target's original fate. *)
-    let restore_then_finish () =
-      let acked = ref [] in
-      Array.iteri
-        (fun i outcome ->
-          match outcome with
-          | Some (Acked _) -> acked := i :: !acked
-          | _ -> ())
-        results;
-      match List.rev !acked with
-      | [] -> finish ()
-      | acked ->
-          let waiting = ref (List.length acked) in
-          let settle_restore _outcome =
-            decr waiting;
-            if !waiting = 0 then finish ()
-          in
-          List.iter
-            (fun i ->
-              match prior.(i) with
-              | Some _ ->
-                  rollback ?timeout t ~target:targets.(i) ~name
-                    ~on_done:settle_restore ()
-              | None ->
-                  undeploy ?timeout t ~target:targets.(i) ~name
-                    ~on_done:settle_restore ())
-            acked
-    in
-    (* [finish_if_done] can run more than once when the settle cascade
-       unwinds (each frame re-checks); the restore must start exactly
-       once — a second pass would roll the restored nodes forward again
-       (the daemon's [previous] slot now holds the aborted epoch). *)
-    let restoring = ref false in
-    let finish_if_done () =
-      if !unsettled = 0 && not !finished && not !restoring then
-        if !aborted then begin
-          restoring := true;
-          restore_then_finish ()
-        end
-        else finish ()
-    in
-    let rec launch_next () =
-      if !next < n then begin
-        let i = !next in
-        incr next;
-        if !aborted then begin
-          results.(i) <- Some Skipped;
-          decr unsettled;
-          notify i Skipped;
-          launch_next ();
-          finish_if_done ()
-        end
-        else
-          deploy ?backend ?authenticated ?epoch ?timeout t ~target:targets.(i)
-            ~name ~source
-            ~on_done:(fun outcome ->
-              results.(i) <- Some outcome;
-              decr unsettled;
-              (match (outcome, on_nak) with
-              | Nakked _, Abort -> aborted := true
-              | _ -> ());
-              notify i outcome;
-              launch_next ();
-              finish_if_done ())
-            ()
-      end
-    in
-    for _ = 1 to min concurrency n do
-      launch_next ()
-    done;
-    finish_if_done ()
-  end
-
-let rollback_fleet ?(concurrency = 2) ?timeout ?on_target t ~targets ~name
-    ~on_done () =
-  if concurrency <= 0 then invalid_arg "Controller.rollback_fleet: concurrency";
-  let targets = Array.of_list targets in
-  let n = Array.length targets in
-  let results = Array.make n None in
-  let next = ref 0 in
-  let unsettled = ref n in
-  if n = 0 then on_done []
-  else begin
-    let finish_if_done () =
-      if !unsettled = 0 then
-        on_done
-          (Array.to_list
-             (Array.mapi
-                (fun i outcome ->
-                  (targets.(i), Option.value ~default:Skipped outcome))
-                results))
-    in
-    let rec launch_next () =
-      if !next < n then begin
-        let i = !next in
-        incr next;
-        rollback ?timeout t ~target:targets.(i) ~name
-          ~on_done:(fun outcome ->
-            results.(i) <- Some outcome;
-            decr unsettled;
-            (match on_target with
-            | Some f -> f targets.(i) outcome
-            | None -> ());
-            launch_next ();
-            finish_if_done ())
+  (* Each target's acked epoch before the rollout: what an abort
+     restores the targets that already ACKed to. *)
+  let prior =
+    List.map (fun target -> (target, epoch_of t ~target ~name)) targets
+  in
+  let stop = function Nakked _ -> on_nak = Abort | _ -> false in
+  stage ~concurrency ~stop ?on_target prior
+    ~start:(fun target _ k ->
+      deploy ?backend ?authenticated ?epoch ?timeout t ~target ~name ~source
+        ~on_done:k ())
+    ~on_done:(fun outcomes ->
+      (* An aborted rollout must not strand its acked targets on the new
+         epoch while the rest of the fleet never left the old one: they
+         are restored before [on_done] fires, which still reports each
+         target's original fate. *)
+      let staged =
+        List.filter_map
+          (fun ((target, epoch), (_, outcome)) ->
+            match outcome with Acked _ -> Some (target, epoch) | _ -> None)
+          (List.combine prior outcomes)
+      in
+      if staged <> [] && List.exists (fun (_, o) -> stop o) outcomes then
+        restore ~concurrency ?timeout t ~name ~prior:staged
+          ~on_done:(fun _ -> on_done outcomes)
           ()
-      end
-    in
-    for _ = 1 to min concurrency n do
-      launch_next ()
-    done
-  end
+      else on_done outcomes)
 
 let create ?(secret = "extnet") ?(chunk_size = 512)
     ?(daemon_port = Capsule.well_known_port) ?(port_base = 52000) ?(rto = 0.2)

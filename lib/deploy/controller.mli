@@ -80,7 +80,8 @@ val deploy :
   unit ->
   unit
 
-(** [undeploy t ~target ~name ~on_done ()] retires the active program. *)
+(** [undeploy t ~target ~name ~on_done ()] retires the active program;
+    its ACK clears the target's {!epoch_of}. *)
 val undeploy :
   ?timeout:float ->
   t ->
@@ -101,8 +102,9 @@ val rollback :
   unit ->
   unit
 
-(** [epoch_of t ~target ~name] — highest epoch this controller believes is
-    deployed (updated on ACK). *)
+(** [epoch_of t ~target ~name] — the epoch this controller believes
+    [target] runs: the last one it saw ACKed (a deploy's or a rollback's),
+    or [None] when it never saw one or saw the program undeployed since. *)
 val epoch_of : t -> target:Netsim.Addr.t -> name:string -> int option
 
 (** What a staged rollout does after a NAK. *)
@@ -123,12 +125,11 @@ type nak_policy =
     converging.
 
     Under [~on_nak:Abort] an abort does not strand the fleet mixed-epoch:
-    targets that already ACKed the aborted epoch are restored before
-    [on_done] fires — rolled back when they had a pre-rollout acked
-    epoch, undeployed when this rollout was their first install. The
-    outcome list still reports each target's original fate ([Acked] for
-    the restored ones), so callers can tell which nodes briefly ran the
-    new epoch. *)
+    the targets that already ACKed the aborted epoch go through
+    {!restore} against their pre-rollout acked epochs, under the same
+    [concurrency] bound, before [on_done] fires. The outcome list still
+    reports each target's original fate ([Acked] for the restored ones),
+    so callers can tell which nodes briefly ran the new epoch. *)
 val rollout :
   ?backend:string ->
   ?authenticated:bool ->
@@ -145,19 +146,22 @@ val rollout :
   unit ->
   unit
 
-(** [rollback_fleet t ~targets ~name ~on_done ()] reactivates the
-    retained previous epoch of [name] on every target, with the same
-    bounded-concurrency staging and outcome reporting as {!rollout}.
-    This is the fleet-guard primitive: a coordinated swap that regresses
-    a fleet-level KPI is unwound on every stage at once rather than one
-    controller call at a time. *)
-val rollback_fleet :
+(** [restore t ~name ~prior ~on_done ()] unwinds a change to [name] on
+    a set of targets, each paired with its {!epoch_of} from before the
+    change: a target with [Some _] is rolled back to its retained
+    previous version, and a target with [None] — the change was its
+    first install, or the caller wants it retired — is undeployed.
+    Targets are restored in list order with at most [concurrency]
+    (default 2) operations in flight, and [on_done] receives one outcome
+    per target, in the input order. An aborted {!rollout} restores
+    through it, and so do the adaptation plane's KPI guard and its
+    fleet-wide undeploy. *)
+val restore :
   ?concurrency:int ->
   ?timeout:float ->
-  ?on_target:(Netsim.Addr.t -> outcome -> unit) ->
   t ->
-  targets:Netsim.Addr.t list ->
   name:string ->
+  prior:(Netsim.Addr.t * int option) list ->
   on_done:((Netsim.Addr.t * outcome) list -> unit) ->
   unit ->
   unit

@@ -118,7 +118,24 @@ let record_event record =
   in
   Obs.Timeline.event ~at:record.at ~source:"tracer" ~kind:"packet" fields
 
-let to_events t = List.map record_event (records t)
+(* Packet uids come from a process-wide counter, so the same run draws
+   different ones under a different domain count (or after other runs in
+   the process). The export renumbers them by first appearance in the
+   records' order, which is a function of the simulated run alone. *)
+let to_events t =
+  let renumbered = Hashtbl.create 64 in
+  List.map
+    (fun record ->
+      let uid =
+        match Hashtbl.find_opt renumbered record.uid with
+        | Some uid -> uid
+        | None ->
+            let uid = Hashtbl.length renumbered + 1 in
+            Hashtbl.add renumbered record.uid uid;
+            uid
+      in
+      record_event { record with uid })
+    (records t)
 
 let dump t =
   let buffer = Buffer.create 1024 in

@@ -64,5 +64,9 @@ val dump : t -> string
 (** [to_events t] — the capture as timeline events ([source:"tracer"],
     [kind:"packet"]), ready to {!Obs.Timeline.merge} with metric
     snapshots. Only the records still held are exported: if the cap
-    evicted old records ([dropped t] > 0), the timeline starts late. *)
+    evicted old records ([dropped t] > 0), the timeline starts late.
+    Each event's ["uid"] numbers its packet by first appearance in the
+    export (1, 2, ...), not by the process-wide {!Packet.t} uid, so the
+    same simulated run exports the same timeline whatever its domain
+    count. *)
 val to_events : t -> Obs.Timeline.event list

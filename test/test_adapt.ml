@@ -180,7 +180,17 @@ let policy_parse_errors () =
      fire. *)
   expect_line 1 "rule r: when x > nan for 0 do escalate a\n";
   expect_line 2
-    "period 0.5\nrule r: when x < 1 and y >= nan for 0 do escalate a\n"
+    "period 0.5\nrule r: when x < 1 and y >= nan for 0 do escalate a\n";
+  (* An infinite bound ignores the signal altogether. *)
+  expect_line 1 "rule r: when x > inf for 0 do escalate a\n";
+  expect_line 2
+    "period 0.5\nrule r: when x < 1 and y >= -inf for 0 do escalate a\n";
+  (* A non-finite retune value would reach its parameter as 0 once
+     truncated to an int. *)
+  expect_line 1 "rule r: when x > 1 for 0 do retune mono16_above nan\n";
+  expect_line 1 "rule r: when x > 1 for 0 do retune mono16_above inf\n";
+  expect_line 2
+    "period 0.5\nrule r: when x > 1 for 0 do retune mono16_above -inf\n"
 
 let policy_empty () =
   checkb "empty is empty" true (Policy.is_empty Policy.empty);
@@ -254,7 +264,6 @@ let plane_guard_rollback_and_quarantine () =
             Some { Plane.v_source = forwarder "bad"; v_authenticated = false }
           else None);
       de_concurrency = 2;
-      de_nak_policy = Deploy.Controller.Abort;
       de_nak_quarantine = 3;
     }
   in
@@ -324,7 +333,6 @@ let plane_hysteresis_suppresses_refire () =
             Some { Plane.v_source = forwarder "v2"; v_authenticated = false }
           else None);
       de_concurrency = 2;
-      de_nak_policy = Deploy.Controller.Abort;
       de_nak_quarantine = 3;
     }
   in
@@ -343,6 +351,130 @@ let plane_hysteresis_suppresses_refire () =
   Alcotest.(check (option string))
     "v2 live" (Some "v2")
     (Plane.active_variant plane "prog")
+
+(* A controller and a three-daemon fleet behind one router, and the
+   deploy env that stages "prog" over it (every variant a forwarder). *)
+let fleet_topology () =
+  let topo = Topology.create () in
+  let ctl_node = Topology.add_host topo "ctl" "10.9.2.1" in
+  let router = Topology.add_host topo "router" "10.9.2.254" in
+  ignore (Topology.connect topo ~latency:0.001 ctl_node router);
+  let daemons =
+    List.init 3 (fun i ->
+        let host =
+          Topology.add_host topo
+            (Printf.sprintf "h%d" i)
+            (Printf.sprintf "10.9.3.%d" (i + 1))
+        in
+        ignore (Topology.connect topo ~latency:0.001 router host);
+        Deploy.Daemon.start host ())
+  in
+  Topology.compute_routes topo;
+  let ctl = Deploy.Controller.create ctl_node () in
+  let targets = List.map (fun d -> Node.addr (Deploy.Daemon.node d)) daemons in
+  let env =
+    {
+      Plane.de_controller = ctl;
+      de_backend = "jit";
+      de_targets_of = (fun p -> if p = "prog" then targets else []);
+      de_variant_of =
+        (fun ~program ~variant ->
+          if program = "prog" then
+            Some { Plane.v_source = forwarder variant; v_authenticated = false }
+          else None);
+      de_concurrency = 2;
+      de_nak_quarantine = 3;
+    }
+  in
+  (topo, env, daemons)
+
+let parse_policy text =
+  match Policy.parse text with Ok p -> p | Error msg -> Alcotest.fail msg
+
+let runs_nothing daemon =
+  Deploy.Daemon.active_program daemon ~name:"prog" = None
+
+(* The undeploy action retires the program on every fleet node. *)
+let plane_undeploy_retires_fleet () =
+  let topo, env, daemons = fleet_topology () in
+  let baseline = ref [] in
+  Deploy.Controller.rollout env.Plane.de_controller
+    ~targets:(env.Plane.de_targets_of "prog")
+    ~name:"prog" ~source:(forwarder "v1")
+    ~on_done:(fun outcomes -> baseline := outcomes)
+    ();
+  Topology.run_until topo ~stop:1.0;
+  check "baseline acked everywhere" 3
+    (List.length
+       (List.filter
+          (fun (_, o) ->
+            match o with Deploy.Controller.Acked _ -> true | _ -> false)
+          !baseline));
+  let policy =
+    parse_policy
+      "period 0.25
+rule off: when x > 0 for 0.25 cooldown 60 do undeploy prog
+"
+  in
+  let par = Result.get_ok (Par.of_topology topo ~domains:1) in
+  let plane =
+    Plane.arm ~env
+      ~active:[ ("prog", "v1") ]
+      ~par ~until:4.0
+      ~signals:[ ("x", Monitor.Sample (fun () -> 1.0)) ]
+      policy
+  in
+  Par.run par;
+  let stats = Plane.stats plane in
+  check "one undeploy" 1 stats.Plane.st_undeploys;
+  Alcotest.(check (option string))
+    "no active variant" None
+    (Plane.active_variant plane "prog");
+  List.iter
+    (fun d -> checkb "daemon runs nothing" true (runs_nothing d))
+    daemons;
+  checkb "narrated as a fleet retirement" true
+    (List.exists
+       (fun ev ->
+         ev.Plane.ev_what = "undeploy prog"
+         && ev.Plane.ev_note = "fleet of 3 retired")
+       stats.Plane.st_events)
+
+(* The plane believes a baseline is live that its controller never
+   shipped (the shape of test_par's adapt parity run), so the swap is
+   every node's first install. A guard regression must then undeploy
+   the staged nodes: there is no previous version to roll back to. *)
+let plane_guard_restores_first_install () =
+  let topo, env, daemons = fleet_topology () in
+  let kpi = ref 1.0 in
+  Engine.schedule (Topology.engine topo) ~at:1.0 (fun () -> kpi := 0.1);
+  let policy =
+    parse_policy
+      "period 0.25
+\
+       alpha 1
+\
+       rule go: when kpi > 0 for 0.25 cooldown 60 do swap prog fast
+\
+       guard kpi window 1 min-ratio 0.9
+"
+  in
+  let par = Result.get_ok (Par.of_topology topo ~domains:1) in
+  let plane =
+    Plane.arm ~env
+      ~active:[ ("prog", "default") ]
+      ~par ~until:4.0
+      ~signals:[ ("kpi", Monitor.Sample (fun () -> !kpi)) ]
+      policy
+  in
+  Par.run par;
+  let stats = Plane.stats plane in
+  check "the swap converged" 1 stats.Plane.st_swaps;
+  check "one guard check" 1 stats.Plane.st_guard_checks;
+  check "one rollback" 1 stats.Plane.st_rollbacks;
+  List.iter
+    (fun d -> checkb "staged daemon runs nothing" true (runs_nothing d))
+    daemons
 
 let plane_requires_wired_signals () =
   let par = Par.create ~domains:1 in
@@ -596,6 +728,10 @@ let () =
             plane_guard_rollback_and_quarantine;
           Alcotest.test_case "hysteresis suppresses refire" `Quick
             plane_hysteresis_suppresses_refire;
+          Alcotest.test_case "undeploy retires the fleet" `Quick
+            plane_undeploy_retires_fleet;
+          Alcotest.test_case "guard undeploys a first install" `Quick
+            plane_guard_restores_first_install;
           Alcotest.test_case "unwired signals rejected" `Quick
             plane_requires_wired_signals;
           Alcotest.test_case "retune and escalate callbacks" `Quick

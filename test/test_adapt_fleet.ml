@@ -1,12 +1,11 @@
 (* State-machine property test for the fleet adaptation plane: a random
-   fleet (size, stage concurrency, NAK policy), a random subset of nodes
-   poisoned so they NAK the plane's swap, a random uplink flap window
-   during the rollout, and an optional guard regression after
-   convergence. Whatever the scenario, the control plane must end with
-   every node running the same variant — converged on the new epoch or
-   cleanly rolled back to the old one, never mixed — and the plane's own
-   view ([active_variant]) must agree with what the daemons actually
-   serve. *)
+   fleet (size, stage concurrency), a random subset of nodes poisoned so
+   they NAK the plane's swap, a random uplink flap window during the
+   rollout, and an optional guard regression after convergence. Whatever
+   the scenario, the control plane must end with every node running the
+   same variant — converged on the new epoch or cleanly rolled back to
+   the old one, never mixed — and the plane's own view
+   ([active_variant]) must agree with what the daemons actually serve. *)
 
 let () = Planp_runtime.Prims.install ()
 
@@ -50,7 +49,6 @@ let step_of daemon =
 type scenario = {
   fleet : int;  (** nodes the program lives on *)
   concurrency : int;  (** rollout transfers in flight *)
-  abort_on_nak : bool;  (** Abort vs Continue staging discipline *)
   poisoned : bool list;  (** per node: pre-seeded past the swap epoch *)
   guard_regresses : bool;  (** KPI collapses after convergence *)
   flap : (float * float) option;  (** uplink (start, duration), if any *)
@@ -58,9 +56,8 @@ type scenario = {
 
 let scenario_print sc =
   Printf.sprintf
-    "fleet=%d concurrency=%d nak=%s poisoned=[%s] guard_regresses=%b flap=%s"
+    "fleet=%d concurrency=%d poisoned=[%s] guard_regresses=%b flap=%s"
     sc.fleet sc.concurrency
-    (if sc.abort_on_nak then "Abort" else "Continue")
     (String.concat ";" (List.map string_of_bool sc.poisoned))
     sc.guard_regresses
     (match sc.flap with
@@ -74,7 +71,6 @@ let scenario_gen =
   let open Q.Gen in
   int_range 2 6 >>= fun fleet ->
   int_range 1 (fleet + 1) >>= fun concurrency ->
-  bool >>= fun abort_on_nak ->
   list_repeat fleet bool >>= fun poisoned ->
   bool >>= fun guard_regresses ->
   opt (pair (int_range 8 16) (int_range 1 20)) >>= fun flap ->
@@ -83,7 +79,7 @@ let scenario_gen =
       (fun (at, dur) -> (float_of_int at /. 10.0, float_of_int dur /. 10.0))
       flap
   in
-  return { fleet; concurrency; abort_on_nak; poisoned; guard_regresses; flap }
+  return { fleet; concurrency; poisoned; guard_regresses; flap }
 
 let scenario_arb = Q.make ~print:scenario_print scenario_gen
 
@@ -188,8 +184,6 @@ let run_scenario sc =
             Some { Plane.v_source = counter_asp 2; v_authenticated = false }
           else None);
       de_concurrency = sc.concurrency;
-      de_nak_policy =
-        (if sc.abort_on_nak then Controller.Abort else Controller.Continue);
       de_nak_quarantine = 3;
     }
   in
@@ -254,11 +248,18 @@ let run_scenario sc =
     fail_scenario sc "unexpected quarantine after a single attempt";
   true
 
+(* [prop_scale] times the case count when PLANP_PROP_SCALE is set (CI's
+   release job sets 10). *)
+let prop_scale =
+  match Option.bind (Sys.getenv_opt "PLANP_PROP_SCALE") int_of_string_opt with
+  | Some n when n > 0 -> n
+  | Some _ | None -> 1
+
 let fleet_convergence_prop =
   Q.Test.make
     ~name:
       "fleet plane: converged epoch or clean full rollback, never mixed"
-    ~count:200 scenario_arb run_scenario
+    ~count:(200 * prop_scale) scenario_arb run_scenario
 
 let () =
   Alcotest.run "adapt_fleet"

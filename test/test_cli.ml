@@ -304,10 +304,11 @@ let cli_adapt_closed_loop () =
     (contains output "active variant of \"asp\": lite");
   checkb "router on the new epoch" true (contains output "asp@2")
 
-(* The tentpole pin at the CLI level: a full closed loop — faults, a
+(* Domain-count parity at the CLI level: a full closed loop — faults, a
    firing policy, a coordinated swap staged over a 3-router fleet — must
-   export byte-identical metrics and narrate the same decisions, at the
-   same simulated times, for any --domains count. *)
+   export byte-identical metrics and timelines and narrate the same
+   decisions, at the same simulated times, for any --domains count and
+   on a repeated run. *)
 let cli_adapt_domains_parity () =
   let path = write_program forwarder in
   let variant = write_tmp ".planp" forwarder in
@@ -322,21 +323,18 @@ let cli_adapt_domains_parity () =
     write_tmp ".faults"
       "at 4.0 until 14.0 congest lan bandwidth 0.001 queue 0.002\n"
   in
-  (* The pin is the metrics export (counters, gauges, daemon state) and
-     the decisions the output narrates — not the timeline, whose packet
-     uids are global allocation-order artifacts that legitimately
-     interleave differently across partition counts. *)
   let leg domains =
     let m = Filename.temp_file "metrics" ".json" in
+    let t = Filename.temp_file "timeline" ".json" in
     let code, output =
       run
         [ "adapt"; path; "--policy"; policy; "--variant"; "lite=" ^ variant;
           "--faults"; faults; "--duration"; "20"; "--packets"; "40";
           "--targets"; "3"; "--domains"; string_of_int domains;
-          "--metrics-out"; m ]
+          "--metrics-out"; m; "--timeline-out"; t ]
     in
     check (Printf.sprintf "domains %d exit 0" domains) 0 code;
-    (output, read_and_remove m)
+    (output, read_and_remove m, read_and_remove t)
   in
   (* The plane's narrated decisions: "  [   5.502s] rule  what  note". *)
   let decisions output =
@@ -344,14 +342,15 @@ let cli_adapt_domains_parity () =
     |> List.filter (fun line ->
            String.length line > 3 && String.sub line 0 3 = "  [")
   in
-  let out1, m1 = leg 1 in
+  let out1, m1, t1 = leg 1 in
   checkb "fleet-wide initial deploy" true (contains out1 "to 3 routers");
   checkb "rule fired a swap" true (contains out1 "swap asp lite");
   checkb "stage ACKs and the guard narrated" true
     (List.length (decisions out1) >= 5);
+  checkb "timeline has packet events" true (contains t1 "\"uid\"");
   List.iter
     (fun domains ->
-      let out, m = leg domains in
+      let out, m, t = leg domains in
       checkb
         (Printf.sprintf "domains %d reported" domains)
         true
@@ -359,10 +358,15 @@ let cli_adapt_domains_parity () =
       checkb
         (Printf.sprintf "metrics byte-identical at %d domains" domains)
         true (m = m1);
+      checkb
+        (Printf.sprintf "timeline byte-identical at %d domains" domains)
+        true (t = t1);
       Alcotest.(check (list string))
         (Printf.sprintf "decisions identical at %d domains" domains)
         (decisions out1) (decisions out))
-    [ 2; 4 ];
+    (* twice at 2 domains: their packet uid draws interleave differently
+       from run to run *)
+    [ 2; 4; 2 ];
   Sys.remove path;
   Sys.remove variant;
   Sys.remove policy;

@@ -632,7 +632,56 @@ let rollout_abort_undeploys_first_install () =
   checkb "first-install head undeployed after abort" true
     (Daemon.active_epoch first ~name:"counter" = None)
 
-let rollback_fleet_restores_every_target () =
+(* An undeploy ACK names the retired epoch, but the target then runs
+   nothing: an aborted rollout that had reached it must undeploy it
+   again rather than roll the retired program back in (regression: the
+   controller kept the retired epoch as the target's acked one). *)
+let rollout_abort_after_undeploy () =
+  let topo, controller, daemons = rollout_topology 2 in
+  let targets = List.map (fun d -> Node.addr (Daemon.node d)) daemons in
+  let h0 = List.nth daemons 0 and h1 = List.nth daemons 1 in
+  let h0_addr = List.nth targets 0 and h1_addr = List.nth targets 1 in
+  ignore
+    (expect_ack
+       (deploy_sync ~run:Topology.run topo controller ~target:h0_addr
+          ~name:"counter" ~source:(counter_asp 1) ()));
+  let retired = ref None in
+  Controller.undeploy controller ~target:h0_addr ~name:"counter"
+    ~on_done:(fun outcome -> retired := Some outcome)
+    ();
+  Topology.run topo;
+  (match !retired with
+  | Some outcome -> ignore (expect_ack outcome)
+  | None -> Alcotest.fail "undeploy never settled");
+  checkb "undeploy ACK clears the acked epoch" true
+    (Controller.epoch_of controller ~target:h0_addr ~name:"counter" = None);
+  ignore
+    (expect_ack
+       (deploy_sync ~run:Topology.run topo controller ~target:h1_addr
+          ~name:"counter" ~epoch:10 ~source:(counter_asp 1) ()));
+  let result = ref None in
+  Controller.rollout controller ~targets ~name:"counter" ~epoch:5
+    ~source:(counter_asp 2) ~concurrency:1 ~on_nak:Controller.Abort
+    ~on_done:(fun outcomes -> result := Some outcomes)
+    ();
+  Topology.run topo;
+  (match !result with
+  | None -> Alcotest.fail "rollout never finished"
+  | Some outcomes -> (
+      match List.map snd outcomes with
+      | [ Controller.Acked _; Controller.Nakked _ ] -> ()
+      | outcomes ->
+          Alcotest.failf "unexpected outcomes: %s"
+            (String.concat ", " (List.map Controller.outcome_to_string outcomes))));
+  checkb "retired target runs nothing after the abort" true
+    (Daemon.active_epoch h0 ~name:"counter" = None);
+  check "poisoned target untouched" 10
+    (Option.value ~default:0 (Daemon.active_epoch h1 ~name:"counter"))
+
+(* One restore over mixed priors: a target with a prior epoch is rolled
+   back to it, a target without one is undeployed, and the outcomes come
+   back in input order. *)
+let restore_mixed_priors () =
   let topo, controller, daemons = rollout_topology 3 in
   let targets = List.map (fun d -> Node.addr (Daemon.node d)) daemons in
   let settle outcomes_ref =
@@ -641,32 +690,47 @@ let rollback_fleet_restores_every_target () =
     | None -> Alcotest.fail "fleet operation never finished"
     | Some outcomes -> outcomes
   in
-  let v1 = ref None in
-  Controller.rollout controller ~targets ~name:"counter"
-    ~source:(counter_asp 1) ~concurrency:2
-    ~on_done:(fun outcomes -> v1 := Some outcomes)
-    ();
-  List.iter (fun (_, o) -> ignore (expect_ack o)) (settle v1);
-  let v2 = ref None in
-  Controller.rollout controller ~targets ~name:"counter"
-    ~source:(counter_asp 2) ~concurrency:2
-    ~on_done:(fun outcomes -> v2 := Some outcomes)
-    ();
-  List.iter (fun (_, o) -> ignore (expect_ack o)) (settle v2);
-  let rolled = ref None in
-  Controller.rollback_fleet controller ~targets ~name:"counter"
-    ~on_done:(fun outcomes -> rolled := Some outcomes)
-    ();
-  let outcomes = settle rolled in
-  check "one outcome per target" 3 (List.length outcomes);
-  checkb "input order" true (List.map fst outcomes = targets);
-  List.iter (fun (_, o) -> ignore (expect_ack o)) outcomes;
   List.iter
-    (fun d ->
-      check "every daemon back on epoch 1" 1
-        (Option.value ~default:0 (Daemon.active_epoch d ~name:"counter"));
-      probe d;
-      check "the restored version serves" 1 (count_of d ~name:"counter"))
+    (fun step ->
+      let staged = ref None in
+      Controller.rollout controller ~targets ~name:"counter"
+        ~source:(counter_asp step) ~concurrency:2
+        ~on_done:(fun outcomes -> staged := Some outcomes)
+        ();
+      List.iter (fun (_, o) -> ignore (expect_ack o)) (settle staged))
+    [ 1; 2 ];
+  let prior = List.map2 (fun target p -> (target, p)) targets [ Some 1; None; Some 1 ] in
+  let restored = ref None in
+  Controller.restore controller ~concurrency:1 ~name:"counter" ~prior
+    ~on_done:(fun outcomes -> restored := Some outcomes)
+    ();
+  let outcomes = settle restored in
+  checkb "input order" true (List.map fst outcomes = targets);
+  Alcotest.(check (list string))
+    "rolled back, undeployed, rolled back"
+    [ "rolled-back"; "undeployed"; "rolled-back" ]
+    (List.map
+       (fun (_, o) ->
+         match o with
+         | Controller.Acked { note; _ } -> note
+         | o -> Controller.outcome_to_string o)
+       outcomes);
+  List.iteri
+    (fun i d ->
+      if i = 1 then begin
+        checkb "no-prior target runs nothing" true
+          (Daemon.active_epoch d ~name:"counter" = None);
+        checkb "its acked epoch is cleared" true
+          (Controller.epoch_of controller ~target:(List.nth targets i)
+             ~name:"counter"
+          = None)
+      end
+      else begin
+        check "prior target back on epoch 1" 1
+          (Option.value ~default:0 (Daemon.active_epoch d ~name:"counter"));
+        probe d;
+        check "the restored version serves" 1 (count_of d ~name:"counter")
+      end)
     daemons
 
 (* ---------- end to end: lossy link, hot swap under traffic ---------- *)
@@ -808,8 +872,9 @@ let suite =
           rollout_abort_restores_prior_epoch;
         Alcotest.test_case "abort undeploys first install" `Quick
           rollout_abort_undeploys_first_install;
-        Alcotest.test_case "rollback fleet" `Quick
-          rollback_fleet_restores_every_target;
+        Alcotest.test_case "abort after undeploy" `Quick
+          rollout_abort_after_undeploy;
+        Alcotest.test_case "restore mixed priors" `Quick restore_mixed_priors;
       ] );
     ( "e2e",
       [
