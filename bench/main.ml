@@ -977,199 +977,6 @@ let perf () =
   | Some baseline_path -> perf_check_against ~baseline_path results
 
 (* ------------------------------------------------------------------ *)
-(* cache -- the flow-keyed decision cache fast path                    *)
-(* ------------------------------------------------------------------ *)
-
-type cache_point = {
-  cp_hit_rate : float;
-  cp_cached_pkts_per_s : float;
-  cp_uncached_pkts_per_s : float;
-  cp_ratio : float;
-}
-
-(* One steady flow per workload, injected through a real [Runtime.t] (so
-   the measurement includes dispatch, decode, probe and replay — the
-   path production packets take).  [mpeg_filter_steady] is the gated row:
-   a B-frame stream against the shedding filter, whose whole decision
-   (drop + count) replays from the cache. *)
-let cache_workloads () =
-  let b_frame =
-    (* udpSrc = videoPort, blobLength > 8, blobByte(body, 8) = 2: the
-       filter's B-frame branch, every time. *)
-    let body = Bytes.make 16 '\000' in
-    Bytes.set body 8 '\002';
-    Netsim.Packet.udp
-      ~src:(Netsim.Addr.of_string "10.6.0.1")
-      ~dst:(Netsim.Addr.of_string "10.6.0.9")
-      ~src_port:554 ~dst_port:7101
-      (Netsim.Payload.of_bytes body)
-  in
-  let audio_packet =
-    (* A *degraded* frame — what the router actually sends a client under
-       congestion — so the restoration site's output differs from the
-       raw packet and the decision is unambiguous. *)
-    Netsim.Packet.udp
-      ~src:(Netsim.Addr.of_string "10.1.0.7")
-      ~dst:(Netsim.Addr.of_string "239.1.0.1")
-      ~src_port:Asp.Audio_app.audio_port ~dst_port:Asp.Audio_app.audio_port
-      (Option.get
-         (Planp_runtime.Audio_frame.Wire.degrade
-            (Planp_runtime.Audio_frame.Wire.synth ~seq:0 ~frames:20 ~phase:0)
-            Planp_runtime.Audio_frame.Mono8))
-  in
-  let http_packet =
-    Netsim.Packet.tcp
-      ~src:(Netsim.Addr.of_string "192.168.0.7")
-      ~dst:(Netsim.Addr.of_string "10.3.0.100")
-      ~src_port:4242 ~dst_port:80
-      (Netsim.Payload.of_string "GET /index.html HTTP/1.0")
-  in
-  [
-    ( "mpeg_filter_steady",
-      Asp.Mpeg_asp.filter_program ~video_port:554 ~drop_b:true (),
-      b_frame );
-    ("audio_client", Asp.Audio_asp.client_program (), audio_packet);
-    (* Uncacheable control: the gateway writes its affinity table, so the
-       analysis refuses it and the cache must stay out of the way. *)
-    ( "http_gateway",
-      Asp.Http_asp.gateway_program ~vip:"10.3.0.100"
-        ~servers:("10.3.0.1", "10.3.0.2") (),
-      http_packet );
-  ]
-
-let cache_counter name =
-  Option.value ~default:0
-    (Obs.Registry.read_counter
-       ~labels:[ ("node", "bench-cache"); ("chan", "network") ]
-       name)
-
-let cache_run () =
-  let warmup = if !smoke then 200 else 1_000 in
-  let iters = if !smoke then 2_000 else 20_000 in
-  let min_seconds = if !smoke then 0.02 else 0.3 in
-  let was_enabled = Planp_runtime.Flowcache.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Planp_runtime.Flowcache.set_enabled was_enabled)
-    (fun () ->
-      List.map
-        (fun (key, source, packet) ->
-          let engine = Netsim.Engine.create () in
-          let node =
-            Netsim.Node.create engine ~name:"bench-cache"
-              ~addr:(Netsim.Addr.of_string "10.9.9.9")
-          in
-          ignore (Netsim.Node.add_iface node ~name:"if0" (fun ~l2_dst:_ _ -> true));
-          Planp_runtime.Flowcache.set_enabled true;
-          let rt = Planp_runtime.Runtime.attach node in
-          ignore (Planp_runtime.Runtime.install_exn rt ~name:key ~source ());
-          let measure () =
-            let batch count =
-              for _ = 1 to count do
-                Planp_runtime.Runtime.inject rt packet
-              done
-            in
-            batch warmup;
-            let t0 = Unix.gettimeofday () in
-            let total = ref 0 in
-            while Unix.gettimeofday () -. t0 < min_seconds do
-              batch iters;
-              total := !total + iters
-            done;
-            float_of_int !total /. (Unix.gettimeofday () -. t0)
-          in
-          let hits0 = cache_counter "runtime.cache.hits" in
-          let misses0 = cache_counter "runtime.cache.misses" in
-          let cached = measure () in
-          let hits = cache_counter "runtime.cache.hits" - hits0 in
-          let misses = cache_counter "runtime.cache.misses" - misses0 in
-          let served = hits + misses in
-          let hit_rate =
-            if served = 0 then 0.0
-            else float_of_int hits /. float_of_int served
-          in
-          Planp_runtime.Flowcache.set_enabled false;
-          let uncached = measure () in
-          ( key,
-            {
-              cp_hit_rate = hit_rate;
-              cp_cached_pkts_per_s = cached;
-              cp_uncached_pkts_per_s = uncached;
-              cp_ratio = cached /. uncached;
-            } ))
-        (cache_workloads ()))
-
-let cache_json results =
-  Obs.Json.Obj
-    (List.map
-       (fun (key, p) ->
-         ( key,
-           Obs.Json.Obj
-             [
-               ("hit_rate", Obs.Json.Float p.cp_hit_rate);
-               ("cached_pkts_per_s", Obs.Json.Float p.cp_cached_pkts_per_s);
-               ("uncached_pkts_per_s", Obs.Json.Float p.cp_uncached_pkts_per_s);
-               ("ratio", Obs.Json.Float p.cp_ratio);
-             ] ))
-       results)
-
-(* The cache gate is same-run only (a throughput ratio divides out the
-   host), plus a structural check that the committed baseline knows the
-   section exists, so BENCH_PERF.json cannot silently predate it. *)
-let cache_check_against ~baseline_path results =
-  let fail = ref [] in
-  let complain fmt = Printf.ksprintf (fun m -> fail := m :: !fail) fmt in
-  (match
-     let ic = open_in_bin baseline_path in
-     let n = in_channel_length ic in
-     let s = really_input_string ic n in
-     close_in ic;
-     Obs.Json.of_string s
-   with
-  | exception Sys_error message -> complain "cannot read baseline: %s" message
-  | Error message -> complain "cannot parse baseline %s: %s" baseline_path message
-  | Ok baseline ->
-      if Obs.Json.member "cache" baseline = None then
-        complain "baseline %s has no \"cache\" section (regenerate it)"
-          baseline_path);
-  (match List.assoc_opt "mpeg_filter_steady" results with
-  | None -> complain "no mpeg_filter_steady row in this run"
-  | Some p ->
-      if p.cp_hit_rate < 0.9 then
-        complain "mpeg_filter_steady: hit rate %.3f is under 0.9" p.cp_hit_rate;
-      if p.cp_ratio < 1.5 then
-        complain
-          "mpeg_filter_steady: cached %.0f pkts/s is under 1.5x uncached %.0f"
-          p.cp_cached_pkts_per_s p.cp_uncached_pkts_per_s);
-  (match List.assoc_opt "http_gateway" results with
-  | None -> complain "no http_gateway row in this run"
-  | Some p ->
-      if p.cp_hit_rate > 0.0 then
-        complain "http_gateway: uncacheable channel reports hit rate %.3f"
-          p.cp_hit_rate);
-  match !fail with
-  | [] -> Printf.printf "\ncache gate: OK (baseline %s)\n" baseline_path
-  | messages ->
-      Printf.printf "\ncache gate: FAILED\n";
-      List.iter (fun m -> Printf.printf "  - %s\n" m) (List.rev messages);
-      exit 1
-
-let cache () =
-  section "cache -- flow-keyed decision cache (replay vs execute)";
-  let results = cache_run () in
-  Printf.printf "%-20s %9s %14s %14s %7s\n" "workload" "hit rate"
-    "cached pkts/s" "uncached" "ratio";
-  List.iter
-    (fun (key, p) ->
-      Printf.printf "%-20s %9.3f %14.0f %14.0f %6.1fx\n" key p.cp_hit_rate
-        p.cp_cached_pkts_per_s p.cp_uncached_pkts_per_s p.cp_ratio)
-    results;
-  record "cache" (cache_json results);
-  baseline_add "cache" (cache_json results);
-  match !perf_check with
-  | None -> ()
-  | Some baseline_path -> cache_check_against ~baseline_path results
-
-(* ------------------------------------------------------------------ *)
 (* scale -- the event core at topology scale                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -2538,14 +2345,13 @@ let () =
           | "verify" -> verify ()
           | "ext" -> ext ()
           | "perf" -> perf ()
-          | "cache" -> cache ()
           | "scale" -> scale ()
           | "par" -> par ()
           | "faults" -> faults ()
           | "adapt" -> adapt ()
           | other ->
               Printf.eprintf
-                "unknown section %s (expected fig3|fig6|fig7|fig8|mpeg|verify|ext|perf|cache|scale|par|faults|adapt|all)\n"
+                "unknown section %s (expected fig3|fig6|fig7|fig8|mpeg|verify|ext|perf|scale|par|faults|adapt|all)\n"
                 other;
               exit 1)
         sections);

@@ -59,12 +59,8 @@ let check_cmd =
 let verify_cmd =
   let run path =
     let checked = checked_of_file path in
-    (* The runtime's primitive classification, so the printed
-       cacheability lines match what Runtime.install will decide. *)
     let report =
-      Planp_analysis.Verifier.verify
-        ~classify:Planp_runtime.Flowcache.classify
-        checked.Planp.Typecheck.program
+      Planp_analysis.Verifier.verify checked.Planp.Typecheck.program
     in
     Format.printf "%a@." Planp_analysis.Verifier.pp report;
     if not (Planp_analysis.Verifier.passes report) then exit 2
@@ -424,21 +420,10 @@ let domains_flag =
            conservative parallel simulation). $(docv)=1 (the default) is \
            the plain sequential engine; results are identical either way.")
 
-let no_flowcache_flag =
-  Arg.(
-    value & flag
-    & info [ "no-flowcache" ]
-        ~doc:
-          "Disable the flow-keyed decision cache and execute every packet \
-           through the backend. Exports are byte-identical either way; the \
-           flag exists to demonstrate that and to isolate the cache when \
-           profiling.")
-
 let run_cmd =
-  let run path packets backend_name domains no_flowcache metrics_out
-      metrics_csv timeline_out faults_path =
+  let run path packets backend_name domains metrics_out metrics_csv
+      timeline_out faults_path =
     at_least_one "--domains" domains;
-    if no_flowcache then Planp_runtime.Flowcache.set_enabled false;
     run_plain ~domains path packets backend_name metrics_out metrics_csv
       timeline_out faults_path
   in
@@ -448,8 +433,7 @@ let run_cmd =
          "Run the program on a traced topology and export observability data")
     Term.(
       const run $ file_arg $ packets_flag $ backend_flag $ domains_flag
-      $ no_flowcache_flag $ metrics_out_flag $ metrics_csv_flag
-      $ timeline_out_flag $ faults_flag)
+      $ metrics_out_flag $ metrics_csv_flag $ timeline_out_flag $ faults_flag)
 
 let stats_cmd =
   let run path packets backend_name =
@@ -798,35 +782,27 @@ let adapt_cmd =
       let start_snapshot = Obs.Registry.snapshot Obs.Registry.default in
       let router_addrs = List.map Extnet.Node.addr sc.routers in
       let initial = ref None in
-      (match router_addrs with
-      | [ target ] ->
-          Extnet.Deploy.Controller.deploy controller ~backend:backend_name
-            ~authenticated ~target ~name ~source
-            ~on_done:(fun outcome -> initial := Some outcome)
-            ()
-      | _ ->
-          Extnet.Deploy.Controller.rollout controller ~backend:backend_name
-            ~authenticated ~concurrency:2
-            ~on_nak:Extnet.Deploy.Controller.Abort ~targets:router_addrs
-            ~name ~source
-            ~on_done:(fun outcomes ->
-              (* Worst outcome stands for the fleet: the run only
-                 proceeds usefully when every hop acked. *)
-              let worst =
-                List.find_opt
-                  (fun (_, o) ->
-                    match o with
-                    | Extnet.Deploy.Controller.Acked _ -> false
-                    | _ -> true)
-                  outcomes
-              in
-              initial :=
-                Some
-                  (match (worst, outcomes) with
-                  | Some (_, o), _ -> o
-                  | None, (_, o) :: _ -> o
-                  | None, [] -> Extnet.Deploy.Controller.Timed_out))
-            ());
+      Extnet.Deploy.Controller.rollout controller ~backend:backend_name
+        ~authenticated ~concurrency:2 ~on_nak:Extnet.Deploy.Controller.Abort
+        ~targets:router_addrs ~name ~source
+        ~on_done:(fun outcomes ->
+          (* Worst outcome stands for the fleet: the run only proceeds
+             usefully when every hop acked. *)
+          let worst =
+            List.find_opt
+              (fun (_, o) ->
+                match o with
+                | Extnet.Deploy.Controller.Acked _ -> false
+                | _ -> true)
+              outcomes
+          in
+          initial :=
+            Some
+              (match (worst, outcomes) with
+              | Some (_, o), _ -> o
+              | None, (_, o) :: _ -> o
+              | None, [] -> Extnet.Deploy.Controller.Timed_out))
+        ();
       let inj_engine = Extnet.Par.engine_of sc.par sc.alice in
       for second = 0 to int_of_float (Float.round duration) - 1 do
         Extnet.Engine.schedule inj_engine ~at:(float_of_int second) (fun () ->
@@ -856,7 +832,6 @@ let adapt_cmd =
                     })
                   (List.assoc_opt variant variant_sources));
           de_concurrency = 2;
-          de_nak_quarantine = 3;
         }
       in
       let plane =

@@ -10,8 +10,10 @@ type deploy_env = {
   de_targets_of : string -> Addr.t list;
   de_variant_of : program:string -> variant:string -> variant option;
   de_concurrency : int;
-  de_nak_quarantine : int;
 }
+
+(* Consecutive NAKs from one node before the plane benches it. *)
+let nak_quarantine = 3
 
 type event = {
   ev_at : float;
@@ -59,7 +61,7 @@ type t = {
   mutable in_flight : string list; (* programs with an op or guard open *)
   mutable quarantined : (string * string) list; (* rolled-back variants *)
   (* Fleet health: consecutive NAKs per node, and the nodes benched for
-     the rest of the run after [de_nak_quarantine] of them in a row. *)
+     the rest of the run after [nak_quarantine] of them in a row. *)
   mutable node_naks : (Addr.t * int) list;
   mutable quarantined_nodes : Addr.t list;
   mutable events : event list; (* reverse chronological *)
@@ -119,14 +121,13 @@ let release t program =
 let node_quarantined t addr = List.exists (Addr.equal addr) t.quarantined_nodes
 
 (* Track per-node NAK streaks from a rollout's per-target outcomes; a
-   node that NAKs [de_nak_quarantine] times in a row is benched for the
+   node that NAKs [nak_quarantine] times in a row is benched for the
    rest of the run (excluded from subsequent fleet operations). *)
 let note_target_outcome t ~rule ~program target outcome =
   match outcome with
   | Controller.Acked _ ->
       t.node_naks <- List.filter (fun (a, _) -> not (Addr.equal a target)) t.node_naks
   | Controller.Nakked _ ->
-      let env = Option.get t.env in
       let streak =
         1
         + (match
@@ -138,7 +139,7 @@ let note_target_outcome t ~rule ~program target outcome =
       t.node_naks <-
         (target, streak)
         :: List.filter (fun (a, _) -> not (Addr.equal a target)) t.node_naks;
-      if streak >= env.de_nak_quarantine && not (node_quarantined t target) then begin
+      if streak >= nak_quarantine && not (node_quarantined t target) then begin
         t.quarantined_nodes <- t.quarantined_nodes @ [ target ];
         t.n_node_quarantines <- t.n_node_quarantines + 1;
         Obs.Registry.incr t.m_fleet_node_quarantines;
@@ -209,11 +210,17 @@ let schedule_guard t ~rule ~program ~variant ~previous ~baseline ~prior =
                 if first_failure outcomes = None then begin
                   t.n_rollbacks <- t.n_rollbacks + 1;
                   Obs.Registry.incr t.m_rollbacks;
+                  (* Where no staged node had a prior epoch, the restore
+                     undeployed them all and [previous] runs nowhere. *)
+                  let rolled_back =
+                    List.exists (fun (_, epoch) -> epoch <> None) prior
+                  in
                   (match previous with
-                  | Some prev ->
+                  | Some prev when rolled_back ->
                       t.active <-
                         (program, prev) :: List.remove_assoc program t.active
-                  | None -> t.active <- List.remove_assoc program t.active);
+                  | Some _ | None ->
+                      t.active <- List.remove_assoc program t.active);
                   record t ~rule
                     ~what:(Printf.sprintf "rollback %s" program)
                     ~note:
@@ -448,8 +455,6 @@ let arm ?(registry = Obs.Registry.default) ?env ?(active = [])
   (match env with
   | Some env when env.de_concurrency <= 0 ->
       invalid_arg "Adapt.Plane.arm: de_concurrency must be positive"
-  | Some env when env.de_nak_quarantine <= 0 ->
-      invalid_arg "Adapt.Plane.arm: de_nak_quarantine must be positive"
   | Some _ | None -> ());
   if
     env = None

@@ -41,8 +41,6 @@ type deploy_env = {
   de_concurrency : int;
       (** operations in flight per rollout, restore or fleet-wide
           undeploy (see {!Deploy.Controller.rollout}) *)
-  de_nak_quarantine : int;
-      (** consecutive NAKs from one node before the plane benches it *)
 }
 
 (** One adaptation decision, for timelines and tests. *)
@@ -102,7 +100,7 @@ val arm :
       start the HTTP health prober when the failover gateway activates)
     @raise Invalid_argument when a rule or guard references a signal not
       in [signals], a deploy action has no [env], or the env's
-      [de_concurrency]/[de_nak_quarantine] are not positive. *)
+      [de_concurrency] is not positive. *)
 
 val stats : t -> stats
 val events : t -> event list
@@ -112,8 +110,7 @@ val active_variant : t -> string -> string option
     convergence or a clean rollback keeps every node on one variant). *)
 
 val quarantined_nodes : t -> Netsim.Addr.t list
-(** Nodes benched after [de_nak_quarantine] consecutive NAKs, in
-    quarantine order. *)
+(** Nodes benched after 3 consecutive NAKs, in quarantine order. *)
 
 val signal_value : t -> string -> float option
 (** Current smoothed value of a wired signal. *)

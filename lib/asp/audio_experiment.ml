@@ -238,20 +238,13 @@ let run config =
           let source =
             Audio_asp.router_program ~policy:!tuned ~iface:router_seg_iface ()
           in
-          match router_addrs with
-          | [ target ] ->
-              Deploy.Controller.deploy ctl ~backend:backend_name
-                ~authenticated:false ~target ~name:"audio-router" ~source
-                ~on_done:(fun _ -> ())
-                ()
-          | targets ->
-              (* The retuned thresholds must land on every chain hop, or
-                 the strictest remaining router keeps distilling. *)
-              Deploy.Controller.rollout ctl ~backend:backend_name
-                ~concurrency:2 ~on_nak:Deploy.Controller.Abort ~targets
-                ~name:"audio-router" ~source
-                ~on_done:(fun _ -> ())
-                ()
+          (* The retuned thresholds must land on every chain hop, or
+             the strictest remaining router keeps distilling. *)
+          Deploy.Controller.rollout ctl ~backend:backend_name ~concurrency:2
+            ~on_nak:Deploy.Controller.Abort ~targets:router_addrs
+            ~name:"audio-router" ~source
+            ~on_done:(fun _ -> ())
+            ()
         in
         let env =
           {
@@ -274,7 +267,6 @@ let run config =
                       })
                     (variant_policy variant));
             de_concurrency = 2;
-            de_nak_quarantine = 3;
           }
         in
         Some

@@ -79,28 +79,19 @@ let ship ~backend ~controller programs =
   let ctl = Deploy.Controller.create controller () in
   List.iter
     (fun ((name, source), nodes) ->
-      match nodes with
-      | [ node ] ->
-          Deploy.Controller.deploy ctl ~backend ~target:(Node.addr node) ~name
-            ~source
-            ~on_done:(function
-              | Deploy.Controller.Acked _ -> ()
-              | outcome -> fail_outcome ~name ~node:(Node.name node) outcome)
-            ()
-      | nodes ->
-          Deploy.Controller.rollout ctl ~backend ~concurrency:2
-            ~on_nak:Deploy.Controller.Abort
-            ~targets:(List.map Node.addr nodes)
-            ~name ~source
-            ~on_done:
-              (List.iter (fun (addr, outcome) ->
-                   match outcome with
-                   | Deploy.Controller.Acked _ -> ()
-                   | outcome ->
-                       fail_outcome ~name
-                         ~node:(Netsim.Addr.to_string addr)
-                         outcome))
-            ())
+      Deploy.Controller.rollout ctl ~backend ~concurrency:2
+        ~on_nak:Deploy.Controller.Abort
+        ~targets:(List.map Node.addr nodes)
+        ~name ~source
+        ~on_done:
+          (* One outcome per target, in [nodes] order. *)
+          (List.iter2
+             (fun node (_, outcome) ->
+               match outcome with
+               | Deploy.Controller.Acked _ -> ()
+               | outcome -> fail_outcome ~name ~node:(Node.name node) outcome)
+             nodes)
+        ())
     (group programs);
   {
     find =

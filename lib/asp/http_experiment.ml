@@ -281,7 +281,6 @@ let run_point config setup ~workers =
                       { Adapt.Plane.v_source; v_authenticated = false })
                     (variant_source variant));
             de_concurrency = 2;
-            de_nak_quarantine = 3;
           }
         in
         (* The failover gateway is blind until its health prober runs;

@@ -225,7 +225,6 @@ let run config =
                         }
                   | _ -> None);
             de_concurrency = 2;
-            de_nak_quarantine = 3;
           }
         in
         Some

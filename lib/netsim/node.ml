@@ -72,7 +72,6 @@ type t = {
   mutable ifaces : iface array;
   node_routing : Routing.table;
   mutable hook : hook option;
-  mutable invalidation_hook : (unit -> unit) option;
   mutable promisc : bool;
   udp_handlers : (t -> Packet.t -> unit) Int_table.t;
   tcp_handlers : (t -> Packet.t -> unit) Int_table.t;
@@ -97,7 +96,6 @@ let create engine ~name ~addr =
     ifaces = [||];
     node_routing = Routing.create ();
     hook = None;
-    invalidation_hook = None;
     promisc = false;
     udp_handlers = Int_table.create 8;
     tcp_handlers = Int_table.create 8;
@@ -370,10 +368,6 @@ let set_hook node hook = node.hook <- Some hook
 let clear_hook node = node.hook <- None
 let has_hook node = node.hook <> None
 
-let set_invalidation_hook node f = node.invalidation_hook <- Some f
-
-let invalidate_forwarding node =
-  match node.invalidation_hook with Some f -> f () | None -> ()
 let set_promiscuous node flag = node.promisc <- flag
 let promiscuous node = node.promisc
 let on_udp node ~port f = Int_table.replace node.udp_handlers port f

@@ -142,14 +142,6 @@ val set_hook : t -> hook -> unit
 
 val clear_hook : t -> unit
 val has_hook : t -> bool
-
-(** [set_invalidation_hook node f] registers a callback fired whenever
-    the node's forwarding state is recomputed (route rebuilds, fault
-    reconvergence); the hook owner uses it to flush per-node caches. *)
-val set_invalidation_hook : t -> (unit -> unit) -> unit
-
-(** [invalidate_forwarding node] fires the invalidation hook, if any. *)
-val invalidate_forwarding : t -> unit
 val set_promiscuous : t -> bool -> unit
 val promiscuous : t -> bool
 

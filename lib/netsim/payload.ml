@@ -2,12 +2,12 @@
    [base] string with an [off]/[len] window — or a pending concatenation
    ([parts] non-empty) whose bytes have not been materialized yet.  Byte
    accessors read a rope's first part in place when the read lies inside
-   it, and [window] finds the one part holding a range; any other access
-   [force]s the node: one allocation, memoized in place, so repeated
-   access and every slice taken afterwards share the same base.  [sub] and
-   [concat] on the per-packet path therefore never copy bytes; only
-   [force] (a read that leaves the first part, or a range across parts)
-   and [compact]/[to_string] do. *)
+   it, and [window] and [sub] find the one part holding a range; any
+   other access [force]s the node: one allocation, memoized in place, so
+   repeated access and every slice taken afterwards share the same base.
+   [sub] and [concat] on the per-packet path therefore never copy bytes;
+   only [force] (a read that leaves the first part, or a range across
+   parts) and [compact]/[to_string] do. *)
 
 type t = {
   mutable base : string;
@@ -113,9 +113,9 @@ let sub t ~pos ~len =
   check t pos len "sub";
   if len = 0 then empty
   else if pos = 0 && len = t.len then t
-  else (
-    force t;
-    { base = t.base; off = t.off + pos; len; parts = [||] })
+  else
+    let base, off = window_in t pos len in
+    { base; off; len; parts = [||] }
 
 let concat parts =
   match List.filter (fun p -> p.len <> 0) parts with

@@ -48,8 +48,11 @@ val get_u32 : t -> int -> int
     @raise Invalid_argument when the range is out of bounds. *)
 val window : t -> pos:int -> len:int -> string * int
 
-(** [sub payload ~pos ~len] extracts a slice — an O(1) view sharing the
-    parent's bytes, not a copy. *)
+(** [sub payload ~pos ~len] extracts a slice — a view sharing the
+    parent's bytes, not a copy. On a concatenation it is a view of the one
+    part that holds the range, found as {!window} finds it, so only a
+    slice across two parts forces, and then only the smallest
+    concatenation that holds it. *)
 val sub : t -> pos:int -> len:int -> t
 
 (** [concat parts] chains payloads without copying; the bytes are

@@ -231,12 +231,6 @@ let compute_routes topo =
           | None -> ()
       done
     end
-  done;
-  (* Forwarding state changed: let hook owners (the PLAN-P runtime)
-     flush their per-node decision caches. Deterministic order; the
-     hooks only bump epoch counters, so parity is unaffected. *)
-  for source = 0 to node_count - 1 do
-    Node.invalidate_forwarding (node_at source)
   done
 
 let run ?limit topo = Engine.run ?limit topo.eng

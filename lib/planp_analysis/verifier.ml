@@ -3,19 +3,14 @@ type report = {
   global_termination : Global_termination.report;
   delivery : Delivery.report;
   duplication : Duplication.report;
-  cacheability : (string * Cacheability.verdict) list;
 }
 
-let verify ?(classify = Cacheability.default_classify) program =
+let verify program =
   {
     local_termination = Local_termination.analyze program;
     global_termination = Global_termination.analyze program;
     delivery = Delivery.analyze program;
     duplication = Duplication.analyze program;
-    cacheability =
-      List.map
-        (fun (chan, verdict) -> (chan.Planp.Ast.chan_name, verdict))
-        (Cacheability.analyze ~classify program);
   }
 
 let passes report =
@@ -83,11 +78,4 @@ let pp fmt report =
   (match report.duplication.Duplication.reason with
   | Some reason -> Format.fprintf fmt "@,  %s" reason
   | None -> ());
-  (* Informational only: cacheability never rejects a program, it just
-     says which channels the flow-keyed decision cache may serve. *)
-  List.iter
-    (fun (chan, verdict) ->
-      Format.fprintf fmt "@,cacheability:       %s: %a" chan
-        Cacheability.pp_verdict verdict)
-    report.cacheability;
   Format.fprintf fmt "@]"

@@ -9,15 +9,9 @@ type report = {
   global_termination : Global_termination.report;
   delivery : Delivery.report;
   duplication : Duplication.report;
-  cacheability : (string * Cacheability.verdict) list;
-      (** per-channel flow-cache verdicts (informational — never rejects) *)
 }
 
-(** [classify] tells the cacheability analysis about the primitive
-    library (pass [Planp_runtime.Flowcache.classify] for real verdicts);
-    the default treats every primitive as impure. *)
-val verify :
-  ?classify:(string -> Cacheability.prim_class) -> Planp.Ast.program -> report
+val verify : Planp.Ast.program -> report
 
 (** [passes report] — all four properties proved. *)
 val passes : report -> bool

@@ -2,7 +2,6 @@ let interp = Planp_runtime.Interp.backend
 
 let jit =
   {
-    Specialize.backend with
     Planp_runtime.Backend.backend_name = "jit";
     compile =
       (fun checked ~globals ->

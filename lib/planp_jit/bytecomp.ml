@@ -354,18 +354,9 @@ let bytecode_counters () =
     Obs.Registry.counter ~labels:bytecode_labels ~help:"primitive invocations"
       "planp.vm.prim_calls" )
 
-let replay_credit () =
-  let m_packets, m_instrs, m_prims = bytecode_counters () in
-  fun ~steps ~prims ->
-    Obs.Registry.incr m_packets;
-    Obs.Registry.add m_instrs steps;
-    Obs.Registry.add m_prims prims
-
 let backend =
   {
     Backend.backend_name = "bytecode";
-    profile = Vm.profile;
-    replay_credit;
     compile =
       (fun checked ~globals ->
         let { unit_; channel_fns } = compile_program checked ~globals in

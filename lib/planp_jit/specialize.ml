@@ -896,19 +896,6 @@ let compile_channel ~global_bindings ~funs (chan : Ast.channel) =
 let backend =
   {
     Backend.backend_name = "jit";
-    (* No per-step accounting in specialized code, so there is nothing
-       to snapshot or credit beyond the packet itself: the flow cache's
-       hit path is exactly the paper's "cached entry stub" sitting ahead
-       of the specialized closure. *)
-    profile = (fun () -> (0, 0));
-    replay_credit =
-      (fun () ->
-        let m_packets =
-          Obs.Registry.counter
-            ~labels:[ ("backend", "jit") ]
-            ~help:"packets executed" "planp.exec.packets"
-        in
-        fun ~steps:_ ~prims:_ -> Obs.Registry.incr m_packets);
     compile =
       (fun checked ~globals ->
         let program = checked.Planp.Typecheck.program in

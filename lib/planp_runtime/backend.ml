@@ -7,6 +7,4 @@ type t = {
     Planp.Typecheck.checked ->
     globals:(string * Value.t) list ->
     (Planp.Ast.channel * chan_exec) list;
-  profile : unit -> int * int;
-  replay_credit : unit -> steps:int -> prims:int -> unit;
 }

@@ -25,15 +25,4 @@ type t = {
     globals:(string * Value.t) list ->
     (Planp.Ast.channel * chan_exec) list;
       (** one entry per channel declaration, in source order *)
-  profile : unit -> int * int;
-      (** the calling domain's raw work totals — (AST steps or VM
-          instructions, primitive calls) — since the domain started;
-          {!Runtime} snapshots them around an execution to learn what a
-          cache entry must later be credited with *)
-  replay_credit : unit -> steps:int -> prims:int -> unit;
-      (** [replay_credit ()] resolves this backend's execution counters
-          in the current registry generation and returns a function that
-          accounts one cache-served packet exactly as a real execution
-          of [steps]/[prims] work would have, keeping metrics exports
-          byte-identical cache-on vs cache-off *)
 }

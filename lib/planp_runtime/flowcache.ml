@@ -1,701 +1,1 @@
-module Ast = Planp.Ast
-module Cacheability = Planp_analysis.Cacheability
-
-(* ------------------------------------------------------------------ *)
-(* Configuration                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let enabled_flag = ref true
-let enabled () = !enabled_flag
-let set_enabled b = enabled_flag := b
-
-(* Entries per channel cache; inserts stop (probes keep hitting) once a
-   cache is full, bounding memory against adversarial key churn. *)
-let max_entries = 4096
-
-(* ------------------------------------------------------------------ *)
-(* Primitive classification                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Audited whitelists over the built-in library. Anything not listed
-   falls back to Pure{may_raise=true} if registered pure (sound: a
-   spurious may-raise only widens the key) and Impure otherwise. The
-   table primitives are registered [pure] (meaning "may run outside a
-   packet context"), which is weaker than cache-purity, so they are
-   classified explicitly: reads are Table_read, writes Impure. *)
-
-let pure_no_raise =
-  [
-    "itos"; "htos"; "charPos"; "min"; "max"; "abs"; "strlen"; "strFind";
-    "stob"; "btos"; "blobLength"; "blobConcat"; "even"; "ipSrc"; "ipDst";
-    "ipTtl"; "ipSrcSet"; "ipDestSet"; "tcpSrc"; "tcpDst"; "tcpSeq"; "tcpAck";
-    "tcpSyn"; "tcpFin"; "tcpIsAck"; "tcpSrcSet"; "tcpDstSet"; "udpSrc";
-    "udpDst"; "udpSrcSet"; "udpDstSet"; "mkUdp"; "isMulticast"; "hostBits";
-  ]
-
-let pure_may_raise =
-  [
-    "chr"; "strget"; "substr"; "blobByte"; "blobU32"; "blobSub"; "audioSeq";
-    "audioQuality"; "audioFrames"; "audioBytes"; "audioDegrade";
-    "audioRestore"; "isImage"; "imgWidth"; "imgHeight"; "imgDepth";
-    "imgBytes"; "imgDistill";
-  ]
-
-let classify name =
-  match name with
-  | "print" | "println" | "linkLoad" | "linkCapacity" | "thisIface"
-  | "timeMs" | "mkTable" | "tblSet" | "tblRemove" | "tblClear" ->
-      Cacheability.Impure
-  | "thisHost" -> Cacheability.Node_const
-  | "deliver" -> Cacheability.Emit
-  | "tblGet" | "tblMem" | "tblSize" -> Cacheability.Table_read
-  | _ ->
-      if List.mem name pure_no_raise then
-        Cacheability.Pure { may_raise = false }
-      else if List.mem name pure_may_raise then
-        Cacheability.Pure { may_raise = true }
-      else (
-        match Prim.find name with
-        | Some p when p.Prim.pure -> Cacheability.Pure { may_raise = true }
-        | Some _ | None -> Cacheability.Impure)
-
-(* ------------------------------------------------------------------ *)
-(* A tiny closure compiler for the extracted pure expressions          *)
-(* ------------------------------------------------------------------ *)
-
-(* Atoms, guards and site arguments are closed over (ps, ss, pkt) and
-   the program globals, so they compile into closures over one shared
-   slot frame (ps=0, ss=1, pkt=2; inner lets above). The frame is
-   shared across all of a cache's expressions — they evaluate strictly
-   sequentially. Mirrors Planp_jit.Specialize's design, minus the
-   arena: a fixed per-cache frame plus per-call function frames. *)
-
-type crt = { mutable cw : World.t; slots : Value.t array }
-type code = crt -> Value.t
-
-exception Unsupported of string
-
-type cbind = Cconst of Value.t | Cslot of int
-type cfun = { cf_frame : int; cf_code : code }
-
-type cctx = {
-  cnames : (string * cbind) list;
-  cnext : int;
-  cmax : int ref;
-  cfuns : (string, cfun) Hashtbl.t;
-}
-
-let cbind ctx name =
-  let slot = ctx.cnext in
-  if slot + 1 > !(ctx.cmax) then ctx.cmax := slot + 1;
-  { ctx with cnames = (name, Cslot slot) :: ctx.cnames; cnext = slot + 1 }
-
-let arith op a b =
-  let a = Value.as_int a and b = Value.as_int b in
-  match op with
-  | Ast.Add -> Value.Vint (a + b)
-  | Ast.Sub -> Value.Vint (a - b)
-  | Ast.Mul -> Value.Vint (a * b)
-  | Ast.Div ->
-      if b = 0 then raise (Value.Planp_raise "DivByZero") else Value.Vint (a / b)
-  | Ast.Mod ->
-      if b = 0 then raise (Value.Planp_raise "DivByZero")
-      else Value.Vint (a mod b)
-  | _ -> assert false
-
-let rec compile ctx (e : Ast.expr) : code =
-  match e.Ast.desc with
-  | Ast.Int n ->
-      let v = Value.Vint n in
-      fun _ -> v
-  | Ast.Bool b ->
-      let v = Value.vbool b in
-      fun _ -> v
-  | Ast.String s ->
-      let v = Value.Vstring s in
-      fun _ -> v
-  | Ast.Char c ->
-      let v = Value.Vchar c in
-      fun _ -> v
-  | Ast.Unit -> fun _ -> Value.Vunit
-  | Ast.Host h ->
-      let v = Value.Vhost h in
-      fun _ -> v
-  | Ast.Var n -> (
-      match List.assoc_opt n ctx.cnames with
-      | Some (Cconst v) -> fun _ -> v
-      | Some (Cslot i) -> fun crt -> Array.unsafe_get crt.slots i
-      | None -> raise (Unsupported ("unbound variable " ^ n)))
-  | Ast.Call (f, args) -> compile_call ctx f args
-  | Ast.Tuple xs ->
-      let codes = Array.of_list (List.map (compile ctx) xs) in
-      fun crt -> Value.Vtuple (Array.map (fun c -> c crt) codes)
-  | Ast.Proj (i, x) ->
-      let cx = compile ctx x in
-      let idx = i - 1 in
-      fun crt -> (
-        match cx crt with
-        | Value.Vtuple comps when idx >= 0 && idx < Array.length comps ->
-            Array.unsafe_get comps idx
-        | v -> Value.type_error ~expected:"tuple" v)
-  | Ast.Let (bs, body) ->
-      let rec go ctx acc = function
-        | [] ->
-            let cb = compile ctx body in
-            let inits = Array.of_list (List.rev acc) in
-            fun crt ->
-              Array.iter (fun (slot, c) -> crt.slots.(slot) <- c crt) inits;
-              cb crt
-        | b :: rest ->
-            let ce = compile ctx b.Ast.bind_expr in
-            let ctx = cbind ctx b.Ast.bind_name in
-            let slot =
-              match List.assoc b.Ast.bind_name ctx.cnames with
-              | Cslot slot -> slot
-              | Cconst _ -> assert false
-            in
-            go ctx ((slot, ce) :: acc) rest
-      in
-      go ctx [] bs
-  | Ast.If (c, t, f) ->
-      let cc = compile ctx c in
-      let ct = compile ctx t in
-      let cf = compile ctx f in
-      fun crt -> if Value.as_bool (cc crt) then ct crt else cf crt
-  | Ast.Binop (Ast.And, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> if Value.as_bool (cl crt) then cr crt else Value.vfalse
-  | Ast.Binop (Ast.Or, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> if Value.as_bool (cl crt) then Value.vtrue else cr crt
-  | Ast.Binop (((Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Mod) as op), l, r)
-    ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> arith op (cl crt) (cr crt)
-  | Ast.Binop (Ast.Eq, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> Value.vbool (Value.equal (cl crt) (cr crt))
-  | Ast.Binop (Ast.Ne, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> Value.vbool (not (Value.equal (cl crt) (cr crt)))
-  | Ast.Binop (Ast.Lt, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> Value.vbool (Value.compare_values (cl crt) (cr crt) < 0)
-  | Ast.Binop (Ast.Gt, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> Value.vbool (Value.compare_values (cl crt) (cr crt) > 0)
-  | Ast.Binop (Ast.Le, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> Value.vbool (Value.compare_values (cl crt) (cr crt) <= 0)
-  | Ast.Binop (Ast.Ge, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> Value.vbool (Value.compare_values (cl crt) (cr crt) >= 0)
-  | Ast.Binop (Ast.Concat, l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt -> Value.Vstring (Value.as_string (cl crt) ^ Value.as_string (cr crt))
-  | Ast.Unop (Ast.Not, x) ->
-      let cx = compile ctx x in
-      fun crt -> Value.vbool (not (Value.as_bool (cx crt)))
-  | Ast.Unop (Ast.Neg, x) ->
-      let cx = compile ctx x in
-      fun crt -> Value.Vint (-Value.as_int (cx crt))
-  | Ast.Seq (l, r) ->
-      let cl = compile ctx l in
-      let cr = compile ctx r in
-      fun crt ->
-        ignore (cl crt);
-        cr crt
-  | Ast.Raise exn_name -> fun _ -> raise (Value.Planp_raise exn_name)
-  | Ast.Try (b, hs) ->
-      let cb = compile ctx b in
-      let chs = List.map (fun (name, h) -> (name, compile ctx h)) hs in
-      fun crt -> (
-        try cb crt
-        with Value.Planp_raise exn_name as original -> (
-          match List.assoc_opt exn_name chs with
-          | Some ch -> ch crt
-          | None -> raise original))
-  | Ast.On_remote _ | Ast.On_neighbor _ ->
-      raise (Unsupported "emission inside a pure expression")
-
-and compile_call ctx f args =
-  match Hashtbl.find_opt ctx.cfuns f with
-  | Some { cf_frame; cf_code } ->
-      let codes = Array.of_list (List.map (compile ctx) args) in
-      let frame = Int.max cf_frame 1 in
-      fun crt ->
-        let slots = Array.make frame Value.Vunit in
-        Array.iteri (fun i c -> slots.(i) <- c crt) codes;
-        cf_code { cw = crt.cw; slots }
-  | None -> (
-      let prim =
-        match Prim.find f with
-        | Some p -> p
-        | None -> raise (Unsupported ("unknown primitive " ^ f))
-      in
-      let impl = prim.Prim.impl in
-      (* Per-call-site scratch arrays, as in the JIT: legal because
-         PLAN-P functions are non-recursive and Prim.impl never retains
-         its argument array. *)
-      match List.map (compile ctx) args with
-      | [] -> fun crt -> impl crt.cw [||]
-      | [ c1 ] ->
-          let scratch = Array.make 1 Value.Vunit in
-          fun crt ->
-            scratch.(0) <- c1 crt;
-            impl crt.cw scratch
-      | [ c1; c2 ] ->
-          let scratch = Array.make 2 Value.Vunit in
-          fun crt ->
-            scratch.(0) <- c1 crt;
-            scratch.(1) <- c2 crt;
-            impl crt.cw scratch
-      | [ c1; c2; c3 ] ->
-          let scratch = Array.make 3 Value.Vunit in
-          fun crt ->
-            scratch.(0) <- c1 crt;
-            scratch.(1) <- c2 crt;
-            scratch.(2) <- c3 crt;
-            impl crt.cw scratch
-      | codes ->
-          let codes = Array.of_list codes in
-          let scratch = Array.make (Array.length codes) Value.Vunit in
-          fun crt ->
-            Array.iteri (fun i c -> scratch.(i) <- c crt) codes;
-            impl crt.cw scratch)
-
-(* ------------------------------------------------------------------ *)
-(* Keys and entries                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Key = struct
-  type part = Kval of Value.t | Kok | Kraise of string
-
-  (* Mutable so one scratch key per cache can be refilled per probe;
-     inserted keys are fresh copies and never mutated afterwards. *)
-  type t = { mutable ksrc : int; mutable kdst : int; kparts : part array }
-
-  let part_equal p q =
-    match (p, q) with
-    | Kval a, Kval b -> Value.equal a b
-    | Kok, Kok -> true
-    | Kraise a, Kraise b -> String.equal a b
-    | _ -> false
-
-  let equal a b =
-    a.ksrc = b.ksrc && a.kdst = b.kdst
-    && Array.length a.kparts = Array.length b.kparts
-    &&
-    let n = Array.length a.kparts in
-    let rec loop i =
-      i >= n || (part_equal a.kparts.(i) b.kparts.(i) && loop (i + 1))
-    in
-    loop 0
-
-  (* Degenerate buckets for non-scalar atom values are acceptable: the
-     analysis keys decisions on conditions (bools) and integer deltas;
-     equality still does the exact work. *)
-  let part_hash = function
-    | Kval (Value.Vint n) -> n
-    | Kval (Value.Vbool b) -> if b then 3 else 5
-    | Kval (Value.Vchar c) -> Char.code c
-    | Kval (Value.Vhost h) -> h
-    | Kval (Value.Vstring s) -> Hashtbl.hash s
-    | Kval _ -> 7
-    | Kok -> 11
-    | Kraise e -> Hashtbl.hash e
-
-  let hash k =
-    let h = ref ((k.ksrc * 31) + k.kdst) in
-    Array.iter (fun p -> h := (!h * 131) + part_hash p) k.kparts;
-    !h land max_int
-end
-
-module H = Hashtbl.Make (Key)
-
-type entry = {
-  e_plan : int array;  (* emission events as site indices, in order *)
-  e_error : bool;
-  e_delta : int;
-  e_steps : int;
-  e_prims : int;
-  e_tgen : int;  (* Prims_table.generation at capture *)
-}
-
-type csite = {
-  s_target : World.target option;  (* None = local deliver *)
-  s_chan : string;
-  s_code : code;
-  s_may_raise : bool;
-}
-
-type t = {
-  fc_atoms : code array;
-  fc_guards : code array;
-  fc_sites : csite array;
-  fc_site_part : int array;  (* key-part index of may-raise sites, -1 else *)
-  fc_reads_tables : bool;
-  fc_delta_ok : bool;
-  fc_entries : entry H.t;
-  mutable fc_epoch : int;
-  fc_crt : crt;
-  fc_scratch : Key.t;
-  fc_memo : Value.t option array;
-  m_hits : Obs.Registry.counter;
-  m_misses : Obs.Registry.counter;
-  m_invalidations : Obs.Registry.counter;
-  m_skipped : Obs.Registry.counter;
-}
-
-type hit = { h_delta : int; h_error : bool; h_steps : int; h_prims : int }
-
-let size fc = H.length fc.fc_entries
-
-(* ------------------------------------------------------------------ *)
-(* Building a channel cache                                           *)
-(* ------------------------------------------------------------------ *)
-
-let build ~node_name ~chan ~verdict ~globals ~funs =
-  match verdict with
-  | Cacheability.Uncacheable _ -> None
-  | Cacheability.Cacheable d -> (
-      try
-        let gbinds =
-          List.map (fun (name, value) -> (name, Cconst value)) globals
-        in
-        let cfuns = Hashtbl.create 8 in
-        List.iter
-          (fun (fd : Ast.fundef) ->
-            (* Functions compile in declaration order (they are
-               non-recursive); one that resists compilation is simply
-               absent — if the channel needs it, the channel's own
-               compilation fails and the cache is not built. *)
-            try
-              let cmax = ref (List.length fd.Ast.params) in
-              let cnames =
-                List.mapi
-                  (fun i (param, _ty) -> (param, Cslot i))
-                  fd.Ast.params
-                @ gbinds
-              in
-              let ctx = { cnames; cnext = List.length fd.Ast.params; cmax; cfuns } in
-              let code = compile ctx fd.Ast.fun_body in
-              Hashtbl.replace cfuns fd.Ast.fun_name
-                { cf_frame = !cmax; cf_code = code }
-            with Unsupported _ -> ())
-          funs;
-        let cmax = ref 3 in
-        let base_ctx =
-          {
-            cnames =
-              (chan.Ast.ps_name, Cslot 0)
-              :: (chan.Ast.ss_name, Cslot 1)
-              :: (chan.Ast.pkt_name, Cslot 2)
-              :: gbinds;
-            cnext = 3;
-            cmax;
-            cfuns;
-          }
-        in
-        let compile_top e = compile base_ctx e in
-        let atoms = Array.of_list (List.map compile_top d.Cacheability.atoms) in
-        let guards = Array.of_list (List.map compile_top d.Cacheability.guards) in
-        let sites =
-          Array.of_list
-            (List.map
-               (fun (s : Cacheability.site) ->
-                 let target, chan_tag =
-                   match s.Cacheability.site_target with
-                   | Cacheability.Remote c -> (Some World.Remote, c)
-                   | Cacheability.Neighbor c -> (Some World.Neighbor, c)
-                   | Cacheability.Deliver -> (None, Ast.network_channel)
-                 in
-                 {
-                   s_target = target;
-                   s_chan = chan_tag;
-                   s_code = compile_top s.Cacheability.site_expr;
-                   s_may_raise = s.Cacheability.site_may_raise;
-                 })
-               d.Cacheability.sites)
-        in
-        let site_part = Array.make (Array.length sites) (-1) in
-        let n_parts = ref (Array.length atoms + Array.length guards) in
-        Array.iteri
-          (fun i s ->
-            if s.s_may_raise then begin
-              site_part.(i) <- !n_parts;
-              incr n_parts
-            end)
-          sites;
-        let labels =
-          [ ("node", node_name); ("chan", chan.Ast.chan_name) ]
-        in
-        let counter name help =
-          Obs.Registry.counter ~labels ~volatile:true ~help name
-        in
-        let world, _, _ = World.dummy () in
-        Some
-          {
-            fc_atoms = atoms;
-            fc_guards = guards;
-            fc_sites = sites;
-            fc_site_part = site_part;
-            fc_reads_tables = d.Cacheability.reads_tables;
-            fc_delta_ok = d.Cacheability.ps_int_delta;
-            fc_entries = H.create 64;
-            fc_epoch = min_int;
-            fc_crt = { cw = world; slots = Array.make (Int.max !cmax 3) Value.Vunit };
-            fc_scratch =
-              { Key.ksrc = 0; kdst = 0; kparts = Array.make !n_parts Key.Kok };
-            fc_memo = Array.make (Int.max (Array.length sites) 1) None;
-            m_hits = counter "runtime.cache.hits" "flow-cache decision replays";
-            m_misses = counter "runtime.cache.misses" "flow-cache misses";
-            m_invalidations =
-              counter "runtime.cache.invalidations"
-                "flow-cache flushes (epoch or table-version churn)";
-            m_skipped =
-              counter "runtime.cache.skipped"
-                "executions the cache declined to capture or key";
-          }
-      with Unsupported _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Probing                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let probe fc ~epoch ~world ~src ~dst ~ps ~ss ~pkt =
-  if fc.fc_epoch <> epoch then begin
-    if fc.fc_epoch <> min_int then Obs.Registry.incr fc.m_invalidations;
-    H.reset fc.fc_entries;
-    fc.fc_epoch <- epoch
-  end;
-  let crt = fc.fc_crt in
-  crt.cw <- world;
-  let slots = crt.slots in
-  slots.(0) <- ps;
-  slots.(1) <- ss;
-  slots.(2) <- pkt;
-  Array.fill fc.fc_memo 0 (Array.length fc.fc_memo) None;
-  let key = fc.fc_scratch in
-  key.Key.ksrc <- src;
-  key.Key.kdst <- dst;
-  let parts = key.Key.kparts in
-  match
-    let i = ref 0 in
-    Array.iter
-      (fun code ->
-        parts.(!i) <-
-          (try Key.Kval (code crt) with Value.Planp_raise e -> Key.Kraise e);
-        incr i)
-      fc.fc_atoms;
-    Array.iter
-      (fun code ->
-        parts.(!i) <-
-          (try
-             ignore (code crt);
-             Key.Kok
-           with Value.Planp_raise e -> Key.Kraise e);
-        incr i)
-      fc.fc_guards;
-    Array.iteri
-      (fun si site ->
-        if site.s_may_raise then begin
-          parts.(!i) <-
-            (try
-               let v = site.s_code crt in
-               fc.fc_memo.(si) <- Some v;
-               Key.Kok
-             with Value.Planp_raise e -> Key.Kraise e);
-          incr i
-        end)
-      fc.fc_sites;
-    H.find_opt fc.fc_entries key
-  with
-  | exception Value.Runtime_error _ ->
-      (* Key construction went somewhere the type checker says it
-         cannot: decline this packet rather than guess. *)
-      Obs.Registry.incr fc.m_skipped;
-      `Bypass
-  | Some e when fc.fc_reads_tables && e.e_tgen <> Prims_table.generation () ->
-      H.remove fc.fc_entries key;
-      Obs.Registry.incr fc.m_invalidations;
-      Obs.Registry.incr fc.m_misses;
-      `Miss
-  | Some e ->
-      (* Replay: re-emit from each captured site in capture order. The
-         analysis proved unmemoized sites cannot raise. *)
-      Array.iter
-        (fun si ->
-          let site = fc.fc_sites.(si) in
-          let v =
-            match fc.fc_memo.(si) with Some v -> v | None -> site.s_code crt
-          in
-          match site.s_target with
-          | Some target -> world.World.emit target ~chan:site.s_chan v
-          | None -> world.World.deliver v)
-        e.e_plan;
-      Obs.Registry.incr fc.m_hits;
-      `Hit
-        {
-          h_delta = e.e_delta;
-          h_error = e.e_error;
-          h_steps = e.e_steps;
-          h_prims = e.e_prims;
-        }
-  | None ->
-      Obs.Registry.incr fc.m_misses;
-      `Miss
-
-(* ------------------------------------------------------------------ *)
-(* Capture                                                            *)
-(* ------------------------------------------------------------------ *)
-
-type recorder = {
-  mutable rec_events : (World.target option * string * Value.t) list;
-      (* newest first *)
-  mutable rec_poisoned : bool;
-  rec_gen0 : int;
-  rec_key : Key.t;  (* owned copy: reentrant probes may reuse scratch *)
-  rec_world : World.t;
-  rec_ps : Value.t;
-  rec_ss : Value.t;
-  rec_pkt : Value.t;
-}
-
-let start_recording fc ~world ~ps ~ss ~pkt =
-  let r =
-    {
-      rec_events = [];
-      rec_poisoned = false;
-      rec_gen0 = Prims_table.generation ();
-      rec_key =
-        {
-          Key.ksrc = fc.fc_scratch.Key.ksrc;
-          kdst = fc.fc_scratch.Key.kdst;
-          kparts = Array.copy fc.fc_scratch.Key.kparts;
-        };
-      rec_world = world;
-      rec_ps = ps;
-      rec_ss = ss;
-      rec_pkt = pkt;
-    }
-  in
-  let world' =
-    {
-      world with
-      World.emit =
-        (fun target ~chan value ->
-          r.rec_events <- (Some target, chan, value) :: r.rec_events;
-          world.World.emit target ~chan value);
-      deliver =
-        (fun value ->
-          r.rec_events <- (None, Ast.network_channel, value) :: r.rec_events;
-          world.World.deliver value);
-      print =
-        (fun s ->
-          (* The analysis rejects printing channels; belt and braces. *)
-          r.rec_poisoned <- true;
-          world.World.print s);
-    }
-  in
-  (r, world')
-
-let commit fc r ~epoch ~error ~ps ~ps' ~ss ~ss' ~steps ~prims =
-  if fc.fc_epoch <> epoch then ()
-  else if
-    r.rec_poisoned
-    || Prims_table.generation () <> r.rec_gen0
-    || H.length fc.fc_entries >= max_entries
-  then Obs.Registry.incr fc.m_skipped
-  else begin
-    let ok = ref true in
-    if (not error) && not (ss' == ss || Value.equal ss ss') then ok := false;
-    let delta =
-      if error || ps' == ps then 0
-      else
-        match (ps, ps') with
-        | Value.Vint a, Value.Vint b when fc.fc_delta_ok || a = b -> b - a
-        | _ ->
-            ok := false;
-            0
-    in
-    if !ok then begin
-      (* Re-seed the frame from the recorder: the backend execution (or
-         a reentrant delivery) may have run other probes meanwhile. *)
-      let crt = fc.fc_crt in
-      crt.cw <- r.rec_world;
-      crt.slots.(0) <- r.rec_ps;
-      crt.slots.(1) <- r.rec_ss;
-      crt.slots.(2) <- r.rec_pkt;
-      Array.fill fc.fc_memo 0 (Array.length fc.fc_memo) None;
-      let events = List.rev r.rec_events in
-      let plan = Array.make (List.length events) 0 in
-      (try
-         List.iteri
-           (fun ei ((target, chan, value) : World.target option * string * Value.t) ->
-             let matched = ref (-1) in
-             Array.iteri
-               (fun si site ->
-                 let target_ok =
-                   match (target, site.s_target) with
-                   | Some World.Remote, Some World.Remote
-                   | Some World.Neighbor, Some World.Neighbor ->
-                       String.equal chan site.s_chan
-                   | None, None -> true
-                   | _ -> false
-                 in
-                 if target_ok then begin
-                   (* A site that raises here raised during the captured
-                      execution too (same frame, pure code): it cannot
-                      have produced this event, so it simply doesn't
-                      match — the key's [Kraise] part pins that fate for
-                      every packet sharing the key. *)
-                   let sv_opt =
-                     match fc.fc_memo.(si) with
-                     | Some sv -> Some sv
-                     | None -> (
-                         match site.s_code crt with
-                         | sv ->
-                             fc.fc_memo.(si) <- Some sv;
-                             Some sv
-                         | exception Value.Planp_raise _ -> None)
-                   in
-                   match sv_opt with
-                   | Some sv when Value.equal sv value ->
-                       if !matched >= 0 && !matched <> si then
-                         (* Two distinct sites produce this value today;
-                            they might diverge for a later packet with
-                            the same key. Refuse. *)
-                         raise Exit
-                       else matched := si
-                   | Some _ | None -> ()
-                 end)
-               fc.fc_sites;
-             if !matched < 0 then raise Exit;
-             plan.(ei) <- !matched)
-           events
-       with Exit | Value.Planp_raise _ -> ok := false);
-      if !ok then
-        H.replace fc.fc_entries r.rec_key
-          {
-            e_plan = plan;
-            e_error = error;
-            e_delta = delta;
-            e_steps = steps;
-            e_prims = prims;
-            e_tgen = r.rec_gen0;
-          }
-      else Obs.Registry.incr fc.m_skipped
-    end
-    else Obs.Registry.incr fc.m_skipped
-  end
+let set_enabled (_ : bool) = ()

@@ -1,110 +1,8 @@
-(** The flow-keyed decision cache: a per-node, per-channel match-action
-    fast path that lets hot flows bypass ASP evaluation entirely.
+(** A stub kept for one caller: [bench_e2e/e2e.ml] calls {!set_enabled}
+    before each run to pair runs with a flow-keyed decision cache on and
+    off. There is no such cache (every ASP packet runs through its
+    backend), so both runs of a pair execute the same code. Delete this
+    module when the benchmark drops that call. *)
 
-    For channels that {!Planp_analysis.Cacheability} proved pure modulo
-    a flow key, the runtime consults this cache before running the
-    backend. The key is (packet src, packet dst, the channel's decision
-    atoms evaluated against the decoded header); an entry stores the
-    channel's *decision* — which emission sites fired (in order),
-    whether an exception escaped, and the protocol-state delta — plus
-    the work counters a real execution would have charged, so a hit
-    replays the decision and credits the metrics without touching the
-    interpreter, VM or JIT. Emission-site argument expressions are
-    re-evaluated per packet by small compiled closures: the cache never
-    replays stale packet bytes.
-
-    Invalidation is epoch-based: {!Runtime} bumps its epoch on every
-    install/uninstall (hence on deploy hot-swaps, rollbacks and adapt
-    retunes, which redeploy) and when the node's forwarding state is
-    recomputed (routing/fault events); a probe under a new epoch flushes
-    the cache. Entries whose channel reads resident tables are also
-    stamped with {!Prims_table.generation} and dropped when stale.
-
-    Determinism: a hit performs exactly the emissions, state moves and
-    counter credits of the execution it replaces, so metrics and
-    timeline exports are byte-identical cache-on vs cache-off. The
-    cache's own [runtime.cache.*] counters are registered volatile and
-    excluded from deterministic exports. *)
-
-type t
-
-type hit = {
-  h_delta : int;  (** protocol-state delta to apply (0 = unchanged) *)
-  h_error : bool;  (** the captured execution raised *)
-  h_steps : int;  (** backend work to credit (steps / instructions) *)
-  h_prims : int;  (** primitive calls to credit *)
-}
-
-(** Process-wide switch (defaults to on); flipping it only affects
-    subsequent {!Runtime.install}s and probes. *)
-val enabled : unit -> bool
-
+(** [set_enabled _] does nothing. *)
 val set_enabled : bool -> unit
-
-(** The primitive classification fed to {!Planp_analysis.Cacheability}:
-    audited whitelists over the built-in library, falling back to
-    may-raise-pure for unknown registry-pure primitives and impure
-    otherwise. *)
-val classify : string -> Planp_analysis.Cacheability.prim_class
-
-(** [build ~node_name ~chan ~verdict ~globals ~funs] compiles the
-    verdict's atoms, guards and sites into closures; [None] if the
-    verdict is uncacheable or some expression resists compilation. *)
-val build :
-  node_name:string ->
-  chan:Planp.Ast.channel ->
-  verdict:Planp_analysis.Cacheability.verdict ->
-  globals:(string * Value.t) list ->
-  funs:Planp.Ast.fundef list ->
-  t option
-
-(** [probe] builds the packet's key and either replays a stored
-    decision ([`Hit], emissions already performed against [world]),
-    reports a cacheable miss ([`Miss] — run the backend under
-    {!start_recording} and {!commit}), or declines this packet
-    ([`Bypass]). A probe under a changed [epoch] flushes the cache
-    first. *)
-val probe :
-  t ->
-  epoch:int ->
-  world:World.t ->
-  src:int ->
-  dst:int ->
-  ps:Value.t ->
-  ss:Value.t ->
-  pkt:Value.t ->
-  [ `Hit of hit | `Miss | `Bypass ]
-
-type recorder
-
-(** [start_recording t ~world ~ps ~ss ~pkt] snapshots the missed key
-    and wraps [world] so emissions are recorded as they happen; run the
-    backend against the returned world, then {!commit}. *)
-val start_recording :
-  t ->
-  world:World.t ->
-  ps:Value.t ->
-  ss:Value.t ->
-  pkt:Value.t ->
-  recorder * World.t
-
-(** [commit] matches the recorded emissions against the channel's
-    sites and inserts an entry — or skips quietly when the execution
-    turned out not to be replayable (ambiguous site match, unexpected
-    state move, table or epoch churn mid-execution). [steps]/[prims]
-    are the backend-profile deltas of the recorded execution. *)
-val commit :
-  t ->
-  recorder ->
-  epoch:int ->
-  error:bool ->
-  ps:Value.t ->
-  ps':Value.t ->
-  ss:Value.t ->
-  ss':Value.t ->
-  steps:int ->
-  prims:int ->
-  unit
-
-(** Number of resident entries (for tests and stats). *)
-val size : t -> int

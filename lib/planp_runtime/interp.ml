@@ -144,29 +144,9 @@ let eval_const ~world ~globals expr =
 
 let interp_labels = [ ("backend", "interp") ]
 
-let replay_credit () =
-  let m_packets =
-    Obs.Registry.counter ~labels:interp_labels ~help:"packets executed"
-      "planp.exec.packets"
-  in
-  let m_steps =
-    Obs.Registry.counter ~labels:interp_labels ~help:"AST nodes evaluated"
-      "planp.interp.eval_steps"
-  in
-  let m_prims =
-    Obs.Registry.counter ~labels:interp_labels ~help:"primitive invocations"
-      "planp.interp.prim_calls"
-  in
-  fun ~steps ~prims ->
-    Obs.Registry.incr m_packets;
-    Obs.Registry.add m_steps steps;
-    Obs.Registry.add m_prims prims
-
 let backend =
   {
     Backend.backend_name = "interp";
-    profile;
-    replay_credit;
     compile =
       (fun checked ~globals ->
         let funs =

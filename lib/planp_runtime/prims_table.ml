@@ -1,14 +1,5 @@
 module Ptype = Planp.Ptype
 
-(* One coarse version stamp over every resident table in the process:
-   any write bumps it, and the flow cache drops version-stamped entries
-   whose stamp is stale. Coarse is sound — a spurious bump only costs a
-   cache miss — and atomic so partitioned engines on several domains
-   can share it. *)
-let generation_cell = Atomic.make 0
-let generation () = Atomic.get generation_cell
-let bump_generation () = Atomic.incr generation_cell
-
 let table_key_value = function
   | Ptype.Thash (key, value) -> Some (key, value)
   | _ -> None
@@ -98,12 +89,10 @@ let install () =
       table_prim "tblSet" set_type_fn
         (Prim.Key_set
            (fun table parts value ->
-             T.set_parts (Value.as_table table) parts value;
-             bump_generation ()))
+             T.set_parts (Value.as_table table) parts value))
         (fun args ->
           Prim.check_arity 3 args;
           T.set (Value.as_table args.(0)) args.(1) args.(2);
-          bump_generation ();
           Value.Vunit);
       table_prim "tblMem" (key_only_type_fn Ptype.Tbool)
         (Prim.Key_mem (fun table parts -> T.mem_parts (Value.as_table table) parts))
@@ -112,13 +101,10 @@ let install () =
           Value.vbool (T.mem (Value.as_table args.(0)) args.(1)));
       table_prim "tblRemove" (key_only_type_fn Ptype.Tunit)
         (Prim.Key_remove
-           (fun table parts ->
-             T.remove_parts (Value.as_table table) parts;
-             bump_generation ()))
+           (fun table parts -> T.remove_parts (Value.as_table table) parts))
         (fun args ->
           Prim.check_arity 2 args;
           T.remove (Value.as_table args.(0)) args.(1);
-          bump_generation ();
           Value.Vunit);
       table_prim "tblSize" (table_only_type_fn Ptype.Tint)
         (Prim.Read_int (fun table -> T.length (Value.as_table table)))
@@ -128,6 +114,5 @@ let install () =
       table_prim "tblClear" (table_only_type_fn Ptype.Tunit) Prim.Boxed (fun args ->
           Prim.check_arity 1 args;
           T.clear (Value.as_table args.(0));
-          bump_generation ();
           Value.Vunit);
     ]

@@ -10,8 +10,3 @@
     {!Prims.install}. *)
 
 val install : unit -> unit
-
-(** Process-wide resident-table version: bumped by every [tblSet],
-    [tblRemove] and [tblClear]. {!Flowcache} stamps table-reading cache
-    entries with it and drops them when it moves. *)
-val generation : unit -> int

@@ -12,7 +12,6 @@ type chan_slot = {
   chan : Ast.channel;
   decode : Packet.t -> Value.t option;  (* [Pkt_codec.decoder] of its type *)
   exec : Backend.chan_exec;
-  cache : Flowcache.t option;
   mutable chan_state : Value.t;
   mutable hits : int;
 }
@@ -21,14 +20,11 @@ type program = {
   prog_name : string;
   mutable proto : Value.t;
   slots : chan_slot list;
-  prog_profile : unit -> int * int;
-  prog_credit : steps:int -> prims:int -> unit;
 }
 
 type t = {
   rt_node : Node.t;
   mutable programs : program list;  (* installation order *)
-  mutable rt_epoch : int;  (* flow-cache invalidation epoch *)
   rt_stats : stats;
   m_handled : Obs.Registry.counter;
   m_fallthrough : Obs.Registry.counter;
@@ -52,8 +48,6 @@ let error_to_string = function
 
 let node t = t.rt_node
 let stats t = t.rt_stats
-let epoch t = t.rt_epoch
-let bump_epoch t = t.rt_epoch <- t.rt_epoch + 1
 let installed_programs t = t.programs
 let program_name program = program.prog_name
 let proto_state program = program.proto
@@ -185,74 +179,19 @@ let process t ~ifindex ~l2_dst packet =
       Obs.Registry.incr t.m_fallthrough;
       Node.default_process t.rt_node ~ifindex ~l2_dst packet
   | Some (program, slot, pkt_value) -> (
-      let world = world t ~ifindex in
-      let run_real world =
-        try
-          let ps', ss' =
-            slot.exec world ~ps:program.proto ~ss:slot.chan_state ~pkt:pkt_value
-          in
-          program.proto <- ps';
-          slot.chan_state <- ss';
-          slot.hits <- slot.hits + 1;
-          t.rt_stats.handled <- t.rt_stats.handled + 1;
-          Obs.Registry.incr t.m_handled
-        with Value.Planp_raise _ ->
-          t.rt_stats.errors <- t.rt_stats.errors + 1;
-          Obs.Registry.incr t.m_errors
-      in
-      match slot.cache with
-      | Some fc when Flowcache.enabled () -> (
-          match
-            Flowcache.probe fc ~epoch:t.rt_epoch ~world
-              ~src:packet.Packet.src ~dst:packet.Packet.dst ~ps:program.proto
-              ~ss:slot.chan_state ~pkt:pkt_value
-          with
-          | `Hit hit ->
-              program.prog_credit ~steps:hit.Flowcache.h_steps
-                ~prims:hit.Flowcache.h_prims;
-              if hit.Flowcache.h_error then begin
-                t.rt_stats.errors <- t.rt_stats.errors + 1;
-                Obs.Registry.incr t.m_errors
-              end
-              else begin
-                (if hit.Flowcache.h_delta <> 0 then
-                   match program.proto with
-                   | Value.Vint n ->
-                       program.proto <- Value.Vint (n + hit.Flowcache.h_delta)
-                   | _ -> ());
-                slot.hits <- slot.hits + 1;
-                t.rt_stats.handled <- t.rt_stats.handled + 1;
-                Obs.Registry.incr t.m_handled
-              end
-          | `Miss -> (
-              let recorder, rworld =
-                Flowcache.start_recording fc ~world ~ps:program.proto
-                  ~ss:slot.chan_state ~pkt:pkt_value
-              in
-              let steps0, prims0 = program.prog_profile () in
-              let ps0 = program.proto and ss0 = slot.chan_state in
-              match
-                slot.exec rworld ~ps:ps0 ~ss:ss0 ~pkt:pkt_value
-              with
-              | ps', ss' ->
-                  let steps1, prims1 = program.prog_profile () in
-                  Flowcache.commit fc recorder ~epoch:t.rt_epoch ~error:false
-                    ~ps:ps0 ~ps' ~ss:ss0 ~ss' ~steps:(steps1 - steps0)
-                    ~prims:(prims1 - prims0);
-                  program.proto <- ps';
-                  slot.chan_state <- ss';
-                  slot.hits <- slot.hits + 1;
-                  t.rt_stats.handled <- t.rt_stats.handled + 1;
-                  Obs.Registry.incr t.m_handled
-              | exception Value.Planp_raise _ ->
-                  let steps1, prims1 = program.prog_profile () in
-                  Flowcache.commit fc recorder ~epoch:t.rt_epoch ~error:true
-                    ~ps:ps0 ~ps':ps0 ~ss:ss0 ~ss':ss0
-                    ~steps:(steps1 - steps0) ~prims:(prims1 - prims0);
-                  t.rt_stats.errors <- t.rt_stats.errors + 1;
-                  Obs.Registry.incr t.m_errors)
-          | `Bypass -> run_real world)
-      | Some _ | None -> run_real world)
+      try
+        let ps', ss' =
+          slot.exec (world t ~ifindex) ~ps:program.proto ~ss:slot.chan_state
+            ~pkt:pkt_value
+        in
+        program.proto <- ps';
+        slot.chan_state <- ss';
+        slot.hits <- slot.hits + 1;
+        t.rt_stats.handled <- t.rt_stats.handled + 1;
+        Obs.Registry.incr t.m_handled
+      with Value.Planp_raise _ ->
+        t.rt_stats.errors <- t.rt_stats.errors + 1;
+        Obs.Registry.incr t.m_errors)
 
 let attach ?resource_bound rt_node =
   Prims.install ();
@@ -265,7 +204,6 @@ let attach ?resource_bound rt_node =
     {
       rt_node;
       programs = [];
-      rt_epoch = 0;
       rt_stats = { handled = 0; fallthrough = 0; errors = 0 };
       m_handled =
         Obs.Registry.counter ~labels ~help:"packets treated by an ASP"
@@ -283,9 +221,6 @@ let attach ?resource_bound rt_node =
   in
   Node.set_hook rt_node (fun _node ~ifindex ~l2_dst packet ->
       process t ~ifindex ~l2_dst packet);
-  (* Route rebuilds and fault reconvergence change what an emission does,
-     so they flush the flow caches. *)
-  Node.set_invalidation_hook rt_node (fun () -> bump_epoch t);
   t
 
 let default_pre _checked = Ok ()
@@ -336,61 +271,25 @@ let install ?(backend = Interp.backend) ?(pre = default_pre) ?(name = "asp") t
                 | None -> Value.default_of checked.Planp.Typecheck.proto_type
               in
               let compiled = backend.Backend.compile checked ~globals in
-              (* Static cacheability runs against the same checked AST the
-                 backend compiled; verdicts align with [compiled]
-                 positionally (both follow channel declaration order). *)
-              let verdicts =
-                if Flowcache.enabled () then
-                  Planp_analysis.Cacheability.analyze
-                    ~classify:Flowcache.classify checked.Planp.Typecheck.program
-                else
-                  List.map
-                    (fun chan ->
-                      ( chan,
-                        Planp_analysis.Cacheability.Uncacheable
-                          "flow cache disabled" ))
-                    (Ast.channels checked.Planp.Typecheck.program)
-              in
-              let funs =
-                List.filter_map
-                  (function Ast.Dfun f -> Some f | _ -> None)
-                  checked.Planp.Typecheck.program
-              in
-              let node_name = Node.name t.rt_node in
               let slots =
-                List.map2
-                  (fun (chan, exec) (_, verdict) ->
+                List.map
+                  (fun (chan, exec) ->
                     let chan_state =
                       match chan.Ast.initstate with
                       | Some init -> Interp.eval_const ~world ~globals init
                       | None -> Value.default_of chan.Ast.ss_type
                     in
-                    let cache =
-                      Flowcache.build ~node_name ~chan ~verdict ~globals ~funs
-                    in
                     {
                       chan;
                       decode = Pkt_codec.decoder chan.Ast.pkt_type;
                       exec;
-                      cache;
                       chan_state;
                       hits = 0;
                     })
-                  compiled verdicts
+                  compiled
               in
-              let program =
-                {
-                  prog_name = name;
-                  proto;
-                  slots;
-                  prog_profile = backend.Backend.profile;
-                  prog_credit = backend.Backend.replay_credit ();
-                }
-              in
+              let program = { prog_name = name; proto; slots } in
               t.programs <- t.programs @ [ program ];
-              (* A new program can shadow an existing channel, changing
-                 which slot treats a flow: flush every cache on the node. *)
-              bump_epoch t;
               Ok program))
 
 let install_exn ?backend ?pre ?name t ~source () =
@@ -399,8 +298,7 @@ let install_exn ?backend ?pre ?name t ~source () =
   | Error error -> failwith (error_to_string error)
 
 let uninstall t program =
-  t.programs <- List.filter (fun p -> p != program) t.programs;
-  bump_epoch t
+  t.programs <- List.filter (fun p -> p != program) t.programs
 
 let inject ?(ifindex = -1) t packet =
   process t ~ifindex ~l2_dst:None packet

@@ -43,20 +43,6 @@ val attach : ?resource_bound:int -> Netsim.Node.t -> t
 val node : t -> Netsim.Node.t
 val stats : t -> stats
 
-(** {1 Flow-cache epoch}
-
-    The runtime keeps one invalidation epoch per node for its flow-keyed
-    decision caches ({!Flowcache}). [install], [uninstall], and the
-    node's forwarding-invalidation hook (route rebuilds, fault
-    reconvergence) all bump it; a probe under a new epoch flushes that
-    channel's cache. *)
-
-val epoch : t -> int
-
-(** [bump_epoch t] forces a flush of every flow cache on this node on
-    next probe (exposed for external invalidation sources). *)
-val bump_epoch : t -> unit
-
 (** An installed program. *)
 type program
 

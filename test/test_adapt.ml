@@ -264,7 +264,6 @@ let plane_guard_rollback_and_quarantine () =
             Some { Plane.v_source = forwarder "bad"; v_authenticated = false }
           else None);
       de_concurrency = 2;
-      de_nak_quarantine = 3;
     }
   in
   let par = Result.get_ok (Par.of_topology topo ~domains:1) in
@@ -333,7 +332,6 @@ let plane_hysteresis_suppresses_refire () =
             Some { Plane.v_source = forwarder "v2"; v_authenticated = false }
           else None);
       de_concurrency = 2;
-      de_nak_quarantine = 3;
     }
   in
   let par = Result.get_ok (Par.of_topology topo ~domains:1) in
@@ -383,7 +381,6 @@ let fleet_topology () =
             Some { Plane.v_source = forwarder variant; v_authenticated = false }
           else None);
       de_concurrency = 2;
-      de_nak_quarantine = 3;
     }
   in
   (topo, env, daemons)
@@ -474,7 +471,10 @@ let plane_guard_restores_first_install () =
   check "one rollback" 1 stats.Plane.st_rollbacks;
   List.iter
     (fun d -> checkb "staged daemon runs nothing" true (runs_nothing d))
-    daemons
+    daemons;
+  Alcotest.(check (option string))
+    "no variant live" None
+    (Plane.active_variant plane "prog")
 
 let plane_requires_wired_signals () =
   let par = Par.create ~domains:1 in
@@ -706,6 +706,43 @@ let http_adaptive_routes_around_crash () =
     (adaptive.Asp.Http_experiment.client_retries
     <= static.Asp.Http_experiment.client_retries)
 
+(* A retune rule reaches the audio distillation thresholds. *)
+let retune_applies () =
+  let policy =
+    {
+      Adapt.Policy.period = 0.5;
+      alpha = 0.4;
+      rules =
+        [
+          {
+            Adapt.Policy.rl_name = "floor";
+            rl_pred =
+              Adapt.Policy.Cmp
+                { signal = "goodput"; cmp = Adapt.Policy.Ge; threshold = 0.0 };
+            rl_hold = 0.0;
+            rl_cooldown = 10_000.0;
+            rl_action =
+              Adapt.Policy.Retune { param = "mono8_above"; value = 0.0 };
+          };
+        ];
+      guard = None;
+    }
+  in
+  Registry.reset Registry.default;
+  let r =
+    Asp.Audio_experiment.run
+      (Asp.Audio_experiment.quick_config ~adapt:true
+         ~deploy:Asp.Deploy_mode.In_band ~adaptation:policy ())
+  in
+  (match r.Asp.Audio_experiment.adaptation with
+  | None -> Alcotest.fail "adaptation stats expected"
+  | Some stats -> check "one retune fired" 1 stats.Adapt.Plane.st_retunes);
+  (* mono8_above = 0 floors the distillation: with the threshold gone,
+     nearly the whole run ships 8-bit mono (the untouched quick run
+     ships 826 of 2500 frames as mono8 — see the golden pin). *)
+  let _, _, m8 = r.Asp.Audio_experiment.wire_quality_counts in
+  checkb "retuned threshold took effect" true (m8 > 2000)
+
 let () =
   Alcotest.run "adapt"
     [
@@ -747,5 +784,6 @@ let () =
             mpeg_adaptive_protects_ip_frames;
           Alcotest.test_case "http: failover swap under crash" `Slow
             http_adaptive_routes_around_crash;
+          Alcotest.test_case "retune reaches thresholds" `Quick retune_applies;
         ] );
     ]

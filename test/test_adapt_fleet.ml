@@ -184,7 +184,6 @@ let run_scenario sc =
             Some { Plane.v_source = counter_asp 2; v_authenticated = false }
           else None);
       de_concurrency = sc.concurrency;
-      de_nak_quarantine = 3;
     }
   in
   let registry = Registry.create () in

@@ -727,7 +727,6 @@ let adapt_shape_parity () =
               Some
                 { Adapt.Plane.v_source = source_v1; v_authenticated = false });
         de_concurrency = 2;
-        de_nak_quarantine = 3;
       }
     in
     let plane =

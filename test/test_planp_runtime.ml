@@ -267,6 +267,9 @@ let audio_frames_off_major_heap () =
   let frames = 882 in
   let round i =
     let frame = Wire.synth ~seq:i ~frames ~phase:(i * frames) in
+    (* A slice past the 7-byte header lies inside the table view. *)
+    let samples = Payload.sub frame ~pos:7 ~len:(Payload.length frame - 7) in
+    ignore (Payload.get_u8 samples 0 : int);
     let target = if i land 1 = 0 then Audio_frame.Mono16 else Audio_frame.Mono8 in
     match Wire.degrade frame target with
     | None -> Alcotest.fail "synth frame rejected"
@@ -362,6 +365,52 @@ let interp_emissions () =
   check "state advanced" 1 (Value.as_int ps');
   check "one emission" 1 (List.length (emissions ()));
   Alcotest.(check (list string)) "print" [ "saw 0" ] (prints ())
+
+(* The interpreter's step and primitive cells are per domain, so
+   partitioned runs count without races. *)
+let interp_profile_domains () =
+  let source =
+    "channel network(ps : int, ss : unit, p : ip*udp*blob) is ((ps + 1), ss)"
+  in
+  let chk =
+    Planp.Typecheck.check_exn ~prims:Prim.type_lookup (Planp.Parser.parse source)
+  in
+  let chan, exec =
+    match Interp.backend.Planp_runtime.Backend.compile chk ~globals:[] with
+    | [ slot ] -> slot
+    | _ -> Alcotest.fail "one channel"
+  in
+  let packet =
+    Packet.udp
+      ~src:(Netsim.Addr.of_string "10.50.0.2")
+      ~dst:(Netsim.Addr.of_string "10.50.0.1")
+      ~src_port:1 ~dst_port:2 (Payload.of_string "x")
+  in
+  let pkt =
+    match Pkt_codec.decode chan.Planp.Ast.pkt_type packet with
+    | Some v -> v
+    | None -> Alcotest.fail "decode"
+  in
+  let run_packets n () =
+    let world, _, _ = World.dummy () in
+    let s0, _ = Interp.profile () in
+    for _ = 1 to n do
+      ignore (exec world ~ps:(Value.Vint 0) ~ss:Value.Vunit ~pkt)
+    done;
+    let s1, _ = Interp.profile () in
+    s1 - s0
+  in
+  let main0, _ = Interp.profile () in
+  let d1 = Domain.spawn (run_packets 100) in
+  let d2 = Domain.spawn (run_packets 200) in
+  let steps1 = Domain.join d1 and steps2 = Domain.join d2 in
+  let main1, _ = Interp.profile () in
+  checkb "domain one counted" true (steps1 > 0);
+  (* Same packet, same channel: per-packet step cost is deterministic,
+     so the counts are exactly proportional — and main's cell is
+     untouched by the workers. *)
+  check "per-domain counts are independent" (2 * steps1) steps2;
+  check "main domain unaffected" main0 main1
 
 (* ---------- runtime ---------- *)
 
@@ -670,6 +719,8 @@ let () =
           Alcotest.test_case "let scoping" `Quick interp_let_scoping;
           Alcotest.test_case "exceptions" `Quick interp_exceptions;
           Alcotest.test_case "emissions" `Quick interp_emissions;
+          Alcotest.test_case "profiling is per-domain" `Quick
+            interp_profile_domains;
         ] );
       ( "runtime",
         [

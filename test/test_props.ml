@@ -207,6 +207,8 @@ let payload_concat_reads_in_place =
         off >= 0
         && off + wlen <= String.length base
         && String.sub base off wlen = String.sub flat pos wlen
+        && Payload.to_string (Payload.sub (fresh ()) ~pos ~len:wlen)
+           = String.sub flat pos wlen
       in
       let windows_agree =
         List.for_all
@@ -216,8 +218,8 @@ let payload_concat_reads_in_place =
               [ 0; 1; 2; 3; 4; 7; 11; len - pos ])
           (List.init (len + 1) Fun.id)
       in
-      (* A window inside one leaf is that leaf's own storage: nothing
-         was flattened. *)
+      (* A window or a slice inside one leaf is that leaf's own storage:
+         nothing was flattened. *)
       let _, in_part =
         List.fold_left
           (fun (start, ok) (text, storage, pad) ->
@@ -226,8 +228,11 @@ let payload_concat_reads_in_place =
               ok
               && List.for_all
                    (fun (lo, hi) ->
-                     let base, off = Payload.window (fresh ()) ~pos:(start + lo) ~len:(hi - lo) in
-                     base == storage && off = pad + lo)
+                     let pos = start + lo and len = hi - lo in
+                     let in_storage (base, off) = base == storage && off = pad + lo in
+                     in_storage (Payload.window (fresh ()) ~pos ~len)
+                     && in_storage
+                          (Payload.window (Payload.sub (fresh ()) ~pos ~len) ~pos:0 ~len))
                    (if n = 0 then [] else [ (0, n); (n / 2, n); (0, (n + 1) / 2) ])
             in
             (start + n, ok))
@@ -1071,10 +1076,7 @@ let describe_packet (p : Netsim.Packet.t) =
 
 (* One run of [source] on a fresh node: what left it, what it delivered,
    what it printed, its final states and its runtime counts. *)
-let run_program backend ~cache source packets =
-  let was = Planp_runtime.Flowcache.enabled () in
-  Planp_runtime.Flowcache.set_enabled cache;
-  Fun.protect ~finally:(fun () -> Planp_runtime.Flowcache.set_enabled was) @@ fun () ->
+let run_program backend source packets =
   let engine = Netsim.Engine.create () in
   let node = Netsim.Node.create engine ~name:"gen" ~addr:(Netsim.Addr.of_string "10.0.0.9") in
   let sent = ref [] and delivered = ref [] in
@@ -1106,7 +1108,7 @@ let program_backends =
 
 let backends_program_differential =
   Q.Test.make
-    ~name:"programs: interp, VM, JIT and jit-nofold agree, cache on and off"
+    ~name:"programs: interp, VM, JIT and jit-nofold agree"
     ~count:(60 * prop_scale)
     (Q.make
        ~print:(fun (source, packets) ->
@@ -1114,19 +1116,15 @@ let backends_program_differential =
            (String.concat "\n" (List.map describe_packet packets)))
        Q.Gen.(pair gen_program (list_size (int_range 20 150) gen_packet)))
     (fun (source, packets) ->
-      let reference = run_program Planp_runtime.Interp.backend ~cache:false source packets in
+      let reference = run_program Planp_runtime.Interp.backend source packets in
       (match reference with
       | Error message -> Q.Test.fail_reportf "generated program rejected: %s" message
       | Ok _ -> ());
       List.for_all
         (fun backend ->
-          List.for_all
-            (fun cache ->
-              let run = run_program backend ~cache source packets in
-              run = reference
-              || Q.Test.fail_reportf "%s (cache %b) disagrees with the interpreter"
-                   backend.Planp_runtime.Backend.backend_name cache)
-            [ true; false ])
+          run_program backend source packets = reference
+          || Q.Test.fail_reportf "%s disagrees with the interpreter"
+               backend.Planp_runtime.Backend.backend_name)
         program_backends)
 
 (* ---------- tables against an association-list model ---------- *)

@@ -14,9 +14,6 @@
 #     overflow heap (tolerance +25% plus 0.05 per event; the counts
 #     repeat exactly run to run, and the committed ones are 0), and
 #   - the same-run jit-vs-interp throughput ratio on the audio ASP (>= 2x),
-#   - the same-run flow-cache ratio on the steady MPEG B-frame stream
-#     (cached >= 1.5x uncached, hit rate >= 0.9) and that the
-#     uncacheable http gateway reports a zero hit rate,
 #   - the same-run par4-vs-sequential events/s ratio on the 1000-flow
 #     mesh (>= 2x; skipped with a message on hosts with fewer than 4
 #     cores, where four domains cannot beat one engine),
@@ -56,8 +53,8 @@ fi
 # nothing real (the binary double-checks, but fail early and clearly).
 if ! grep -q '"smoke": true' BENCH_PERF.json; then
     echo "bench_check: BENCH_PERF.json was not written with --smoke;" >&2
-    echo "regenerate: dune exec --profile release bench/main.exe -- perf cache scale faults adapt par --smoke --perf-out BENCH_PERF.json" >&2
+    echo "regenerate: dune exec --profile release bench/main.exe -- perf scale faults adapt par --smoke --perf-out BENCH_PERF.json" >&2
     exit 1
 fi
 
-exec dune exec --profile release bench/main.exe -- perf cache scale faults adapt par --smoke --check BENCH_PERF.json
+exec dune exec --profile release bench/main.exe -- perf scale faults adapt par --smoke --check BENCH_PERF.json

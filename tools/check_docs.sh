@@ -7,9 +7,7 @@
 #      lib/adapt/*.ml (same contract for the adaptation plane);
 #   4. every netsim.par.* metric named in the docs is registered by
 #      lib/netsim/par_engine.ml (same contract for the parallel driver);
-#   5. every runtime.cache.* metric named in the docs is registered by
-#      lib/planp_runtime/flowcache.ml (same contract for the flow cache);
-#   6. the odoc docs build cleanly (skipped when odoc is not installed,
+#   5. the odoc docs build cleanly (skipped when odoc is not installed,
 #      as in the minimal CI image).
 # Run from the repository root: sh tools/check_docs.sh
 
@@ -71,23 +69,6 @@ for metric in $(grep -h 'netsim\.par\.' doc/*.md README.md \
                 | grep -o '`\.[a-z_]*`' | tr -d '`.' | sort -u); do
     if ! grep -q "\"netsim\.par\.$metric\"" lib/netsim/par_engine.ml; then
         echo "check_docs: docs name a par metric .$metric that lib/netsim/par_engine.ml does not register" >&2
-        status=1
-    fi
-done
-
-# Same contract for the flow-keyed decision cache's counters, with the
-# same abbreviation expansion as the faults family.
-for metric in $(grep -ho 'runtime\.cache\.[a-z_][a-z_]*' doc/*.md README.md | sort -u); do
-    suffix="${metric#runtime.cache.}"
-    if ! grep -q "\"runtime\.cache\.$suffix\"" lib/planp_runtime/flowcache.ml; then
-        echo "check_docs: docs name $metric but lib/planp_runtime/flowcache.ml does not register it" >&2
-        status=1
-    fi
-done
-for metric in $(grep -h 'runtime\.cache\.' doc/*.md README.md \
-                | grep -o '`\.[a-z_]*`' | tr -d '`.' | sort -u); do
-    if ! grep -q "\"runtime\.cache\.$metric\"" lib/planp_runtime/flowcache.ml; then
-        echo "check_docs: docs name a cache metric .$metric that lib/planp_runtime/flowcache.ml does not register" >&2
         status=1
     fi
 done
