@@ -49,15 +49,7 @@ let checked_of source =
 
 let globals_of checked =
   let world, _, _ = Planp_runtime.World.dummy () in
-  List.fold_left
-    (fun globals decl ->
-      match decl with
-      | Planp.Ast.Dval ({ Planp.Ast.bind_name; bind_expr; _ }, _) ->
-          globals
-          @ [ (bind_name,
-               Planp_runtime.Interp.eval_const ~world ~globals bind_expr) ]
-      | _ -> globals)
-    [] checked.Planp.Typecheck.program
+  Planp_runtime.Interp.eval_globals ~world checked.Planp.Typecheck.program
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel plumbing                                                   *)
@@ -751,17 +743,12 @@ let perf_measure ~warmup ~alloc_iters ~min_seconds exec world pkt ps0 ss0 =
   let dt = Unix.gettimeofday () -. t0 in
   { pkts_per_s = float_of_int !iters /. dt; words_per_pkt }
 
-(* The gateway also runs the JIT without constant folding, the folding
-   ablation. *)
-let perf_backends key =
+let perf_backends =
   [
     ("interp", Planp_runtime.Interp.backend);
     ("bytecode", Planp_jit.Backends.bytecode);
     ("jit", Planp_jit.Backends.jit);
   ]
-  @
-  if key = "http_gateway" then [ ("jit-nofold", Planp_jit.Backends.jit_nofold) ]
-  else []
 
 (* The paper's "built-in C" for the gateway: the native gateway's decision
    ([Http_asp.native_gateway]) over the raw packet, run through the same
@@ -814,7 +801,7 @@ let perf_run () =
             ( backend_name,
               perf_measure ~warmup ~alloc_iters ~min_seconds exec null_world pkt
                 ps0 ss0 ))
-          (perf_backends key)
+          perf_backends
       in
       let native =
         if key = "http_gateway" then

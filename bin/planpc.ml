@@ -78,31 +78,6 @@ let ast_cmd =
   Cmd.v (Cmd.info "ast" ~doc:"Pretty-print the parsed program")
     Term.(const run $ file_arg)
 
-let fold_cmd =
-  let run path =
-    let checked = checked_of_file path in
-    (* Evaluate the globals so folding can inline them, like the backends. *)
-    let world, _, _ = Planp_runtime.World.dummy () in
-    let globals =
-      List.fold_left
-        (fun globals decl ->
-          match decl with
-          | Planp.Ast.Dval ({ Planp.Ast.bind_name; bind_expr; _ }, _) ->
-              globals
-              @ [ (bind_name,
-                   Planp_runtime.Interp.eval_const ~world ~globals bind_expr) ]
-          | _ -> globals)
-        [] checked.Planp.Typecheck.program
-    in
-    let folded = Planp_jit.Fold.program checked ~globals in
-    print_string
-      (Planp.Pretty.program_to_string folded.Planp.Typecheck.program)
-  in
-  Cmd.v
-    (Cmd.info "fold"
-       ~doc:"Pretty-print the program after compile-time constant folding")
-    Term.(const run $ file_arg)
-
 let bytecode_cmd =
   let run path =
     let checked = checked_of_file path in
@@ -550,7 +525,10 @@ let abort_flag =
   Arg.(
     value & flag
     & info [ "abort-on-nak" ]
-        ~doc:"Stop the rollout at the first NAK (untried targets are skipped)")
+        ~doc:
+          "Stop the rollout at the first target that fails: a NAK, a \
+           timeout or an aborted transfer (untried targets are skipped, \
+           acked ones restored)")
 
 let authenticated_flag =
   Arg.(
@@ -940,7 +918,7 @@ let main =
   Cmd.group
     (Cmd.info "planpc" ~version:"1.0"
        ~doc:"PLAN-P checker, verifier and compiler driver")
-    [ check_cmd; verify_cmd; ast_cmd; fold_cmd; bytecode_cmd; time_cmd;
+    [ check_cmd; verify_cmd; ast_cmd; bytecode_cmd; time_cmd;
       simulate_cmd; run_cmd; stats_cmd; deploy_cmd; undeploy_cmd; adapt_cmd;
       prims_cmd ]
 

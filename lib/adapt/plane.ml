@@ -320,9 +320,10 @@ let start_swap t rule ~program ~variant =
                        Printf.sprintf "failed: %d/%d targets acked (%s)"
                          n_acked fleet failure);
                 if n_acked > 0 then begin
-                  (* A partial fleet must not stay mixed-epoch: a NAK
-                     made the rollout restore the staged nodes before
-                     reporting, and the previous variant stays the
+                  (* A partial fleet must not stay mixed-epoch: the
+                     failed target (a NAK, a timeout or an aborted
+                     stream) made the rollout restore the staged nodes
+                     before reporting, and the previous variant stays the
                      active one. *)
                   t.n_partial_rollbacks <- t.n_partial_rollbacks + 1;
                   Obs.Registry.incr t.m_fleet_partial_rollbacks;

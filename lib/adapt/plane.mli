@@ -6,8 +6,9 @@
     parameters, or escalating. After every converged swap an optional KPI
     guard window compares the post-swap signal against its pre-swap
     baseline and restores every staged node to its pre-swap epoch at
-    once (quarantining the variant for the run). A NAK never leaves the
-    fleet mixed-epoch: every rollout stages with [~on_nak:Abort], so the
+    once (quarantining the variant for the run). A target that fails (a
+    NAK, a timeout or an aborted stream) never leaves the fleet
+    mixed-epoch: every rollout stages with [~on_nak:Abort], so the
     controller unwinds the nodes already staged before the previous
     variant resumes as the active one, and a node that repeatedly NAKs
     is benched from later operations. Every unwind — the aborted

@@ -301,7 +301,12 @@ let rollout ?backend ?authenticated ?epoch ?(concurrency = 2)
   let prior =
     List.map (fun target -> (target, epoch_of t ~target ~name)) targets
   in
-  let stop = function Nakked _ -> on_nak = Abort | _ -> false in
+  (* Under [Abort] any target that fails stops the rollout: a NAK, a
+     timeout or an aborted stream. *)
+  let stop = function
+    | Acked _ | Skipped -> false
+    | Nakked _ | Timed_out | Aborted _ -> on_nak = Abort
+  in
   stage ~concurrency ~stop ?on_target prior
     ~start:(fun target _ k ->
       deploy ?backend ?authenticated ?epoch ?timeout t ~target ~name ~source

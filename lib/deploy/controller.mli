@@ -107,7 +107,8 @@ val rollback :
     or [None] when it never saw one or saw the program undeployed since. *)
 val epoch_of : t -> target:Netsim.Addr.t -> name:string -> int option
 
-(** What a staged rollout does after a NAK. *)
+(** What a staged rollout does after any target fails: a NAK, a
+    timeout or an aborted capsule stream. *)
 type nak_policy =
   | Abort  (** stop launching; untried targets come back [Skipped] *)
   | Continue  (** keep going and report per-target outcomes *)
@@ -124,8 +125,10 @@ type nak_policy =
     coordinator uses to narrate or quarantine while the fleet is still
     converging.
 
-    Under [~on_nak:Abort] an abort does not strand the fleet mixed-epoch:
-    the targets that already ACKed the aborted epoch go through
+    Under [~on_nak:Abort] any target that fails ([Nakked], [Timed_out]
+    or [Aborted]) aborts the rollout, and an abort does not strand the
+    fleet mixed-epoch: the targets that already ACKed the aborted epoch
+    go through
     {!restore} against their pre-rollout acked epochs, under the same
     [concurrency] bound, before [on_done] fires. The outcome list still
     reports each target's original fate ([Acked] for the restored ones),

@@ -80,9 +80,8 @@ let make_direction ~link_name ~dir ~engine =
         "netsim.link.backlog_bytes";
   }
 
-(* Push batched counters to the registry.  The flushed marks advance even
-   when the registry is disabled, mirroring the old per-packet dispatch
-   (increments made while disabled were dropped, not deferred). *)
+(* Push batched counters to the registry: the deltas since the last
+   flush, after which the flushed marks advance. *)
 let flush_direction dir =
   let dp = dir.r_packets - dir.f_packets in
   if dp > 0 then begin

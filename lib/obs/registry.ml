@@ -68,15 +68,10 @@ type metric = {
   m_data : data;
 }
 
-type t = {
-  table : (string, metric) Hashtbl.t;
-  mutable on : bool;
-}
+type t = { table : (string, metric) Hashtbl.t }
 
-let create () = { table = Hashtbl.create 64; on = true }
+let create () = { table = Hashtbl.create 64 }
 let default = create ()
-let set_enabled t flag = t.on <- flag
-let enabled t = t.on
 let reset t = Hashtbl.reset t.table
 
 let kind_name = function
@@ -108,11 +103,9 @@ let wrong_kind metric expected =
        (key_of ~name:metric.m_name ~labels:metric.m_labels)
        (kind_name metric.m_data) expected)
 
-(* Handles carry the registry so updates can be a single flag test when
-   observability is switched off. *)
-type counter = { cr : t; cc : counter_cell }
-type gauge = { gr : t; gc : gauge_cell }
-type histogram = { hr : t; hc : hist_cell }
+type counter = counter_cell
+type gauge = gauge_cell
+type histogram = hist_cell
 
 let counter ?(registry = default) ?(labels = []) ?(help = "") ?(volatile = false)
     name =
@@ -121,16 +114,16 @@ let counter ?(registry = default) ?(labels = []) ?(help = "") ?(volatile = false
         Counter (Atomic.make 0))
   in
   match metric.m_data with
-  | Counter cell -> { cr = registry; cc = cell }
+  | Counter cell -> cell
   | _ -> wrong_kind metric "counter"
 
-let incr counter = if counter.cr.on then Atomic.incr counter.cc
+let incr counter = Atomic.incr counter
 
 let add counter n =
   if n < 0 then invalid_arg "Obs.Registry.add: counters only go up";
-  if counter.cr.on then ignore (Atomic.fetch_and_add counter.cc n)
+  ignore (Atomic.fetch_and_add counter n)
 
-let count counter = Atomic.get counter.cc
+let count counter = Atomic.get counter
 
 let gauge ?(registry = default) ?(labels = []) ?(help = "") ?(volatile = false)
     name =
@@ -139,14 +132,14 @@ let gauge ?(registry = default) ?(labels = []) ?(help = "") ?(volatile = false)
         Gauge { g_value = 0.0; g_fn = None })
   in
   match metric.m_data with
-  | Gauge cell -> { gr = registry; gc = cell }
+  | Gauge cell -> cell
   | _ -> wrong_kind metric "gauge"
 
-let set gauge v = if gauge.gr.on then gauge.gc.g_value <- v
-let set_fn gauge f = gauge.gc.g_fn <- Some f
+let set gauge v = gauge.g_value <- v
+let set_fn gauge f = gauge.g_fn <- Some f
 
 let gauge_value gauge =
-  match gauge.gc.g_fn with Some f -> f () | None -> gauge.gc.g_value
+  match gauge.g_fn with Some f -> f () | None -> gauge.g_value
 
 let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
   let metric =
@@ -155,19 +148,16 @@ let histogram ?(registry = default) ?(labels = []) ?(help = "") name =
           { h_count = 0; h_sum = 0.0; h_buckets = Array.make hist_slots 0 })
   in
   match metric.m_data with
-  | Histogram cell -> { hr = registry; hc = cell }
+  | Histogram cell -> cell
   | _ -> wrong_kind metric "histogram"
 
 let observe histogram v =
-  if histogram.hr.on then begin
-    let cell = histogram.hc in
-    cell.h_count <- cell.h_count + 1;
-    cell.h_sum <- cell.h_sum +. v;
-    let slot = bucket_of v in
-    cell.h_buckets.(slot) <- cell.h_buckets.(slot) + 1
-  end
+  histogram.h_count <- histogram.h_count + 1;
+  histogram.h_sum <- histogram.h_sum +. v;
+  let slot = bucket_of v in
+  histogram.h_buckets.(slot) <- histogram.h_buckets.(slot) + 1
 
-let observations histogram = histogram.hc.h_count
+let observations histogram = histogram.h_count
 
 let histogram_slots = hist_slots
 
@@ -195,20 +185,17 @@ let observe_bulk histogram ~counts ~sum =
     invalid_arg
       (Printf.sprintf "Obs.Registry.observe_bulk: expected %d slots, got %d"
          hist_slots (Array.length counts));
-  if histogram.hr.on then begin
-    let cell = histogram.hc in
-    let total = ref 0 in
-    for slot = 0 to hist_slots - 1 do
-      let n = Array.unsafe_get counts slot in
-      if n > 0 then begin
-        total := !total + n;
-        cell.h_buckets.(slot) <- cell.h_buckets.(slot) + n
-      end
-    done;
-    if !total > 0 then begin
-      cell.h_count <- cell.h_count + !total;
-      cell.h_sum <- cell.h_sum +. sum
+  let total = ref 0 in
+  for slot = 0 to hist_slots - 1 do
+    let n = Array.unsafe_get counts slot in
+    if n > 0 then begin
+      total := !total + n;
+      histogram.h_buckets.(slot) <- histogram.h_buckets.(slot) + n
     end
+  done;
+  if !total > 0 then begin
+    histogram.h_count <- histogram.h_count + !total;
+    histogram.h_sum <- histogram.h_sum +. sum
   end
 
 (* ------------------------------------------------------------------ *)
@@ -220,23 +207,25 @@ let observe_bulk histogram ~counts ~sum =
 let lookup t ~name ~labels =
   Hashtbl.find_opt t.table (key_of ~name ~labels:(canonical_labels labels))
 
-let quantile_of_cell cell q =
+let quantile histogram q =
   if not (q >= 0.0 && q <= 1.0) then
     invalid_arg "Obs.Registry.quantile: q outside [0, 1]";
-  if cell.h_count = 0 then 0.0
+  if histogram.h_count = 0 then 0.0
   else begin
     (* Smallest slot whose cumulative count reaches rank ceil(q * n); the
        answer is that bucket's upper bound, the same resolution the
        exported bucket list offers. *)
     let target =
-      let rank = int_of_float (Float.ceil (q *. float_of_int cell.h_count)) in
+      let rank =
+        int_of_float (Float.ceil (q *. float_of_int histogram.h_count))
+      in
       if rank < 1 then 1 else rank
     in
     let slot = ref (hist_slots - 1) in
     let acc = ref 0 in
     (try
        for s = 0 to hist_slots - 1 do
-         acc := !acc + cell.h_buckets.(s);
+         acc := !acc + histogram.h_buckets.(s);
          if !acc >= target then begin
            slot := s;
            raise Exit
@@ -245,8 +234,6 @@ let quantile_of_cell cell q =
      with Exit -> ());
     bucket_upper_bound !slot
   end
-
-let quantile histogram q = quantile_of_cell histogram.hc q
 
 let read_counter ?(registry = default) ?(labels = []) name =
   match lookup registry ~name ~labels with
@@ -270,7 +257,7 @@ let read_histogram ?(registry = default) ?(labels = []) name =
 let read_quantile ?(registry = default) ?(labels = []) ~q name =
   match lookup registry ~name ~labels with
   | None -> None
-  | Some { m_data = Histogram cell; _ } -> Some (quantile_of_cell cell q)
+  | Some { m_data = Histogram cell; _ } -> Some (quantile cell q)
   | Some metric -> wrong_kind metric "histogram"
 
 (* ------------------------------------------------------------------ *)

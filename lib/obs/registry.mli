@@ -4,9 +4,9 @@
     Instrumented components create their handles once (at component
     construction or program compile time) with get-or-create semantics: two
     calls with the same name and label set return handles on the same
-    underlying cell, so identically-named components aggregate. Updates
-    through a handle are a single flag test plus a store — and no-ops when
-    the owning registry is disabled, which is what keeps instrumentation
+    underlying cell, so identically-named components aggregate. A handle
+    is its metric's cell, so an update goes straight to the cell with no
+    flag test and no allocation, which is what keeps instrumentation
     affordable on the simulator's per-packet hot paths.
 
     Exports are deterministic: entries sort by name then canonical label
@@ -26,12 +26,6 @@ val create : unit -> t
 
 val default : t
 (** The process-wide registry every built-in instrumentation point uses. *)
-
-val set_enabled : t -> bool -> unit
-(** [set_enabled t false] turns every update through this registry's
-    handles into a no-op (creation and reads still work). Default: on. *)
-
-val enabled : t -> bool
 
 val reset : t -> unit
 (** Drops every metric. Handles created before the reset keep updating

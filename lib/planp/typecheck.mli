@@ -16,8 +16,7 @@
 
     Checking also records the type of every expression in its node
     ({!Ast.expr.ty}), so the passes after it need not infer types again:
-    {!Planp_jit.Fold} keeps them through its rewrites, and the JIT chooses
-    its templates by them.
+    the JIT chooses its templates by them.
 
     If no [protostate] declaration is present, all channels must declare a
     protocol-state parameter of a defaultable type (not a hash table). *)

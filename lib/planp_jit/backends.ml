@@ -1,18 +1,5 @@
 let interp = Planp_runtime.Interp.backend
-
-let jit =
-  {
-    Planp_runtime.Backend.backend_name = "jit";
-    compile =
-      (fun checked ~globals ->
-        Specialize.backend.Planp_runtime.Backend.compile
-          (Fold.program checked ~globals)
-          ~globals);
-  }
-
-let jit_nofold =
-  { Specialize.backend with Planp_runtime.Backend.backend_name = "jit-nofold" }
-
+let jit = Specialize.backend
 let bytecode = Bytecomp.backend
 let all () = [ interp; jit; bytecode ]
 
@@ -20,7 +7,7 @@ let by_name name =
   List.find_opt
     (fun backend ->
       String.equal backend.Planp_runtime.Backend.backend_name name)
-    (List.concat [ all (); [ jit_nofold ] ])
+    (all ())
 
 let codegen_time_ms backend checked ~globals ~repeats =
   if repeats <= 0 then invalid_arg "codegen_time_ms: repeats must be positive";

@@ -5,13 +5,10 @@ val all : unit -> Planp_runtime.Backend.t list
 
 val interp : Planp_runtime.Backend.t
 
-(** The full JIT: compile-time constant folding ({!Fold}) followed by
-    run-time specialization ({!Specialize}) — both halves of the paper's
-    partial evaluation. *)
+(** The JIT: {!Specialize.backend}, the interpreter specialized to the
+    program. Globals compile exactly as literals do, as embedded
+    constants. *)
 val jit : Planp_runtime.Backend.t
-
-(** Specialization without the folding pass, for the ablation bench. *)
-val jit_nofold : Planp_runtime.Backend.t
 
 val bytecode : Planp_runtime.Backend.t
 val by_name : string -> Planp_runtime.Backend.t option

@@ -63,12 +63,6 @@ let rep_of_type : Planp.Ptype.t option -> some_rep = function
   | Some Planp.Ptype.Tbool -> Rep Bool
   | Some _ | None -> Rep Val
 
-let rep_of_value : Value.t -> some_rep = function
-  | Value.Vint _ -> Rep Int
-  | Value.Vhost _ -> Rep Host
-  | Value.Vbool _ -> Rep Bool
-  | _ -> Rep Val
-
 let mismatch () = raise (Value.Runtime_error "specialize: template type mismatch")
 
 (* [convert src f dst] adapts a template at the boundary between two
@@ -520,13 +514,15 @@ let rec compile : type a. ctx -> a rep -> Ast.expr -> rt -> a =
           match List.assoc_opt exn_name handler_codes with
           | Some handler -> handler rt
           | None -> raise original))
-  | Ast.Int _ | Ast.Bool _ | Ast.String _ | Ast.Char _ | Ast.Unit | Ast.Host _ ->
-      constant rep (Option.get (Fold.literal_of expr))
+  | Ast.Int n -> constant rep (Value.Vint n)
+  | Ast.Bool b -> constant rep (Value.vbool b)
+  | Ast.String s -> constant rep (Value.Vstring s)
+  | Ast.Char c -> constant rep (Value.Vchar c)
+  | Ast.Unit -> constant rep Value.Vunit
+  | Ast.Host h -> constant rep (Value.Vhost h)
   | Ast.Var name -> (
       match lookup ctx name with
-      | Global v ->
-          let (Rep vrep) = rep_of_value v in
-          convert vrep (constant vrep v) rep
+      | Global v -> constant rep v
       | Slot (srep, slot) -> convert srep (read srep slot) rep
       | Parts { first; reps } -> convert Val (box_parts first reps) rep)
   | Ast.Call (name, args) -> (

@@ -10,7 +10,9 @@
 
     - variable names to integer frame slots,
     - primitive names to their registered implementations,
-    - global values to embedded constants,
+    - global values to embedded constants, compiled exactly as literals
+      are (so a global used where a boxed value is expected is the value
+      itself, not a fresh box),
     - operator dispatch to specialized closures,
 
     so none of that work remains on the per-packet path.

@@ -46,9 +46,6 @@ let profile () =
   let st = Domain.DLS.get dls_key in
   (st.d_instrs, st.d_prims)
 
-let instrs_executed () = fst (profile ())
-let prim_calls () = snd (profile ())
-
 let ensure arena needed =
   if needed > Array.length arena.data then begin
     let cap = ref (2 * Array.length arena.data) in

@@ -26,6 +26,3 @@ val call :
     per-packet deltas of these into [planp.vm.instrs] /
     [planp.vm.prim_calls]. [profile () = (instrs, prim calls)]. *)
 val profile : unit -> int * int
-
-val instrs_executed : unit -> int
-val prim_calls : unit -> int

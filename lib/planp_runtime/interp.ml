@@ -13,9 +13,6 @@ let profile () =
   let p = Domain.DLS.get profile_key in
   (p.p_steps, p.p_prims)
 
-let eval_steps () = fst (profile ())
-let prim_calls () = snd (profile ())
-
 type ctx = {
   world : World.t;
   funs : (string, Ast.fundef) Hashtbl.t;
@@ -141,6 +138,18 @@ and apply ctx name arg_values =
 let eval_const ~world ~globals expr =
   let ctx = make_ctx ~world ~funs:[] ~globals in
   eval ctx ctx.base expr
+
+let eval_globals ~world program =
+  List.fold_left
+    (fun globals decl ->
+      match decl with
+      | Ast.Dval ({ Ast.bind_name; bind_expr; _ }, _) ->
+          let value = eval_const ~world ~globals:(List.rev globals) bind_expr in
+          (bind_name, value) :: globals
+      | Ast.Dfun _ | Ast.Dexception _ | Ast.Dprotostate _ | Ast.Dchannel _ ->
+          globals)
+    [] program
+  |> List.rev
 
 let interp_labels = [ ("backend", "interp") ]
 

@@ -11,12 +11,6 @@ module Env : Map.S with type key = string
     value environment. *)
 type ctx
 
-val make_ctx :
-  world:World.t ->
-  funs:Planp.Ast.fundef list ->
-  globals:(string * Value.t) list ->
-  ctx
-
 (** [eval ctx env expr] evaluates under local bindings [env] (on top of the
     context's globals).
     @raise Value.Planp_raise on uncaught PLAN-P exceptions.
@@ -28,6 +22,11 @@ val eval : ctx -> Value.t Env.t -> Planp.Ast.expr -> Value.t
 val eval_const :
   world:World.t -> globals:(string * Value.t) list -> Planp.Ast.expr -> Value.t
 
+(** [eval_globals ~world program] evaluates the program's [val]
+    declarations once, in declaration order, each initializer seeing the
+    globals before it: the [~globals] every backend compiles against. *)
+val eval_globals : world:World.t -> Planp.Ast.program -> (string * Value.t) list
+
 (** The interpreter as a backend (re-walks the AST on every packet). *)
 val backend : Backend.t
 
@@ -37,8 +36,5 @@ val backend : Backend.t
     accounting stays race-free under [Netsim.Par_engine --domains k];
     the backend's per-packet wrapper reads deltas of these into the
     [planp.interp.eval_steps] / [planp.interp.prim_calls] counters.
-    [profile () = (eval_steps (), prim_calls ())]. *)
+    [profile () = (AST nodes, primitive calls)]. *)
 val profile : unit -> int * int
-
-val eval_steps : unit -> int
-val prim_calls : unit -> int

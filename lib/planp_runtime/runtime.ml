@@ -248,22 +248,8 @@ let install ?(backend = Interp.backend) ?(pre = default_pre) ?(name = "asp") t
           | Error message -> Error (Rejected message)
           | Ok () ->
               let world = bootstrap_world t in
-              (* Globals evaluate once, in declaration order. *)
               let globals =
-                List.fold_left
-                  (fun globals decl ->
-                    match decl with
-                    | Ast.Dval ({ Ast.bind_name; bind_expr; _ }, _) ->
-                        let value =
-                          Interp.eval_const ~world ~globals:(List.rev globals)
-                            bind_expr
-                        in
-                        (bind_name, value) :: globals
-                    | Ast.Dfun _ | Ast.Dexception _ | Ast.Dprotostate _
-                    | Ast.Dchannel _ ->
-                        globals)
-                  [] checked.Planp.Typecheck.program
-                |> List.rev
+                Interp.eval_globals ~world checked.Planp.Typecheck.program
               in
               let proto =
                 match checked.Planp.Typecheck.proto_init with

@@ -391,9 +391,8 @@ let parse_policy text =
 let runs_nothing daemon =
   Deploy.Daemon.active_program daemon ~name:"prog" = None
 
-(* The undeploy action retires the program on every fleet node. *)
-let plane_undeploy_retires_fleet () =
-  let topo, env, daemons = fleet_topology () in
+(* Ship "v1" of "prog" to the whole fleet and check every node ACKed. *)
+let deploy_baseline topo env =
   let baseline = ref [] in
   Deploy.Controller.rollout env.Plane.de_controller
     ~targets:(env.Plane.de_targets_of "prog")
@@ -406,7 +405,12 @@ let plane_undeploy_retires_fleet () =
        (List.filter
           (fun (_, o) ->
             match o with Deploy.Controller.Acked _ -> true | _ -> false)
-          !baseline));
+          !baseline))
+
+(* The undeploy action retires the program on every fleet node. *)
+let plane_undeploy_retires_fleet () =
+  let topo, env, daemons = fleet_topology () in
+  deploy_baseline topo env;
   let policy =
     parse_policy
       "period 0.25
@@ -474,6 +478,43 @@ let plane_guard_restores_first_install () =
     daemons;
   Alcotest.(check (option string))
     "no variant live" None
+    (Plane.active_variant plane "prog")
+
+(* A swap whose rollout fails by timeout leaves the fleet on one epoch:
+   the node that cannot be reached times out, the nodes that ACKed are
+   restored, and the pre-swap variant stays the active one (regression:
+   only a NAK restored them, leaving a mixed fleet). *)
+let plane_timeout_keeps_fleet_on_one_epoch () =
+  let topo, env, daemons = fleet_topology () in
+  deploy_baseline topo env;
+  let h1 = Deploy.Daemon.node (List.nth daemons 1) in
+  List.iter
+    (fun (link, a, b) -> if a == h1 || b == h1 then Netsim.Link.set_up link false)
+    (Topology.link_endpoints topo);
+  let policy =
+    parse_policy "period 0.25\nrule go: when x > 0 for 0.25 cooldown 600 do swap prog v2\n"
+  in
+  let par = Result.get_ok (Par.of_topology topo ~domains:1) in
+  let plane =
+    Plane.arm ~env
+      ~active:[ ("prog", "v1") ]
+      ~par ~until:80.0
+      ~signals:[ ("x", Monitor.Sample (fun () -> 1.0)) ]
+      policy
+  in
+  (* The stream to h1 retransmits for ever under the default retry
+     budget, so the run is bounded in time. *)
+  Par.run_until par ~stop:80.0;
+  let stats = Plane.stats plane in
+  check "one failed swap" 1 stats.Plane.st_failed_swaps;
+  check "no converged swap" 0 stats.Plane.st_swaps;
+  List.iter
+    (fun d ->
+      check "fleet on epoch 1" 1
+        (Option.value ~default:0 (Deploy.Daemon.active_epoch d ~name:"prog")))
+    daemons;
+  Alcotest.(check (option string))
+    "pre-swap variant live" (Some "v1")
     (Plane.active_variant plane "prog")
 
 let plane_requires_wired_signals () =
@@ -769,6 +810,8 @@ let () =
             plane_undeploy_retires_fleet;
           Alcotest.test_case "guard undeploys a first install" `Quick
             plane_guard_restores_first_install;
+          Alcotest.test_case "timeout keeps the fleet on one epoch" `Quick
+            plane_timeout_keeps_fleet_on_one_epoch;
           Alcotest.test_case "unwired signals rejected" `Quick
             plane_requires_wired_signals;
           Alcotest.test_case "retune and escalate callbacks" `Quick

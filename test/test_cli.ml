@@ -117,18 +117,6 @@ let cli_simulate_backend () =
   check "exit 0" 0 code;
   checkb "interp backend named" true (contains output "interp backend")
 
-let cli_fold () =
-  let path =
-    write_program
-      "val base : int = 40\nval answer : int = base + 2\n\
-       channel network(ps : int, ss : int, p : ip*tcp*blob) is\n\
-       (OnRemote(network, p); (ps + answer, ss))"
-  in
-  let code, output = run [ "fold"; path ] in
-  Sys.remove path;
-  check "exit 0" 0 code;
-  checkb "constant inlined into the channel" true (contains output "ps + 42")
-
 let cli_missing_file () =
   let code, _ = run [ "check"; "/nonexistent.planp" ] in
   checkb "nonzero exit" true (code <> 0)
@@ -461,7 +449,6 @@ let () =
           Alcotest.test_case "prims" `Quick cli_prims;
           Alcotest.test_case "simulate" `Quick cli_simulate;
           Alcotest.test_case "simulate backend" `Quick cli_simulate_backend;
-          Alcotest.test_case "fold" `Quick cli_fold;
           Alcotest.test_case "missing file" `Quick cli_missing_file;
           Alcotest.test_case "stats" `Quick cli_stats;
           Alcotest.test_case "run metrics deterministic" `Quick

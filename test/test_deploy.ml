@@ -678,6 +678,49 @@ let rollout_abort_after_undeploy () =
   check "poisoned target untouched" 10
     (Option.value ~default:0 (Daemon.active_epoch h1 ~name:"counter"))
 
+(* A target that times out aborts an [Abort] rollout as a NAK does, so
+   the fleet ends on one epoch: the target that ACKed is restored while
+   the unreachable one never left the old epoch (regression: only a NAK
+   stopped the rollout, leaving h0 on epoch 2 and h1 on epoch 1). *)
+let rollout_abort_on_timeout () =
+  let topo, controller, daemons = rollout_topology 2 in
+  let targets = List.map (fun d -> Node.addr (Daemon.node d)) daemons in
+  let h0 = List.nth daemons 0 and h1 = List.nth daemons 1 in
+  let baseline = ref None in
+  Controller.rollout controller ~targets ~name:"counter"
+    ~source:(counter_asp 1)
+    ~on_done:(fun outcomes -> baseline := Some outcomes)
+    ();
+  Topology.run topo;
+  (match !baseline with
+  | Some outcomes -> List.iter (fun (_, o) -> ignore (expect_ack o)) outcomes
+  | None -> Alcotest.fail "baseline rollout never finished");
+  List.iter
+    (fun (link, a, b) ->
+      if a == Daemon.node h1 || b == Daemon.node h1 then Link.set_up link false)
+    (Topology.link_endpoints topo);
+  let result = ref None in
+  Controller.rollout controller ~targets ~name:"counter"
+    ~source:(counter_asp 2) ~concurrency:2 ~on_nak:Controller.Abort
+    ~timeout:5.0
+    ~on_done:(fun outcomes -> result := Some outcomes)
+    ();
+  (* The stream to h1 retransmits for ever under the default retry
+     budget, so the run is bounded in time. *)
+  Topology.run_until topo ~stop:(Engine.now (Topology.engine topo) +. 60.0);
+  (match !result with
+  | None -> Alcotest.fail "rollout never finished"
+  | Some outcomes -> (
+      match List.map snd outcomes with
+      | [ Controller.Acked { epoch = 2; _ }; Controller.Timed_out ] -> ()
+      | outcomes ->
+          Alcotest.failf "unexpected outcomes: %s"
+            (String.concat ", " (List.map Controller.outcome_to_string outcomes))));
+  check "acked target restored to epoch 1" 1
+    (Option.value ~default:0 (Daemon.active_epoch h0 ~name:"counter"));
+  check "unreachable target still on epoch 1" 1
+    (Option.value ~default:0 (Daemon.active_epoch h1 ~name:"counter"))
+
 (* One restore over mixed priors: a target with a prior epoch is rolled
    back to it, a target without one is undeployed, and the outcomes come
    back in input order. *)
@@ -874,6 +917,7 @@ let suite =
           rollout_abort_undeploys_first_install;
         Alcotest.test_case "abort after undeploy" `Quick
           rollout_abort_after_undeploy;
+        Alcotest.test_case "abort on timeout" `Quick rollout_abort_on_timeout;
         Alcotest.test_case "restore mixed priors" `Quick restore_mixed_priors;
       ] );
     ( "e2e",

@@ -77,13 +77,7 @@ let backends_agree_with_globals () =
 (* Evaluate a program's global values the way Runtime.install does. *)
 let globals_of checked =
   let world, _, _ = World.dummy () in
-  List.fold_left
-    (fun globals decl ->
-      match decl with
-      | Planp.Ast.Dval ({ Planp.Ast.bind_name; bind_expr; _ }, _) ->
-          globals @ [ (bind_name, Interp.eval_const ~world ~globals bind_expr) ]
-      | _ -> globals)
-    [] checked.Planp.Typecheck.program
+  Interp.eval_globals ~world checked.Planp.Typecheck.program
 
 (* Run a whole program's channel on all three backends; [] when no channel
    of the program treats the packet. *)
@@ -203,6 +197,27 @@ let codegen_time_positive () =
         (ms >= 0.0 && ms < 1000.0))
     (Backends.all ())
 
+(* A global compiles as an embedded constant, exactly like a literal:
+   where a boxed value is wanted (a tuple component) it is the value
+   itself, not a fresh [Vint] per use. *)
+let global_compiles_like_literal () =
+  let words ~globals source =
+    let code =
+      Specialize.compile_expr ~globals ~params:[] (Planp.Parser.parse_expr source)
+    in
+    let world, _, _ = World.dummy () in
+    ignore (Specialize.run code world []);
+    let before = Gc.minor_words () in
+    let result = Specialize.run code world [] in
+    let words = Gc.minor_words () -. before in
+    checkb (source ^ " value") true
+      (Value.equal result (Value.Vtuple [| Value.Vint 7; Value.Vint 7 |]));
+    words
+  in
+  let literal = words ~globals:[] "(7, 7)" in
+  let global = words ~globals:[ ("g", Value.Vint 7) ] "(g, g)" in
+  Alcotest.(check (float 0.0)) "minor words per run" literal global
+
 (* ---------- the bytecode VM specifically ---------- *)
 
 let vm_disassembly () =
@@ -302,82 +317,9 @@ let vm_superinstructions () =
   checkb "cmp_jump fused" true (contains (disasm cmp_jump) "cmp_jump");
   check "cmp_jump result" 1 (Value.as_int (tri_eval cmp_jump))
 
-(* ---------- constant folding ---------- *)
-
-let fold_specific_cases () =
-  let fold ?(globals = []) src =
-    Planp.Pretty.expr_to_string
-      (Planp_jit.Fold.expr ~globals (Planp.Parser.parse_expr src))
-  in
-  checks "arith" "7" (fold "1 + 2 * 3");
-  checks "comparison" "true" (fold "2 < 3");
-  checks "dead branch pruned" "10" (fold "if 1 = 1 then 10 else crash(1)");
-  checks "short-circuit" "false" (fold "1 > 2 andalso f()");
-  checks "concat" "\"ab3\"" (fold "\"a\" ^ \"b\" ^ itos(3)");
-  checks "global inlined" "42" (fold ~globals:[ ("answer", Value.Vint 42) ] "answer");
-  checks "let literal propagates" "9"
-    (fold "let val x : int = 4 in x + 5 end");
-  (* a literal division stays: its exception is run-time behaviour *)
-  checks "division kept" "(1 / 0)" (fold "1 / 0");
-  (* shadowing must poison the outer literal *)
-  checks "shadow poisons"
-    "let
-  val answer : int = f()
-in
-  answer
-end"
-    (fold ~globals:[ ("answer", Value.Vint 42) ]
-       "let val answer : int = f() in answer end")
-
-let fold_shrinks_gateway () =
-  let checked =
-    Planp.Typecheck.check_exn ~prims:Prim.type_lookup
-      (Planp.Parser.parse
-         (Asp.Http_asp.gateway_program ~vip:"10.3.0.100"
-            ~servers:("10.3.0.1", "10.3.0.2") ()))
-  in
-  let globals = globals_of checked in
-  let folded = Planp_jit.Fold.program checked ~globals in
-  let size program =
-    List.fold_left
-      (fun acc chan -> acc + Planp_jit.Fold.count_nodes chan.Planp.Ast.body)
-      0
-      (Planp.Ast.channels program)
-  in
-  checkb "folding does not grow the program" true
-    (size folded.Planp.Typecheck.program <= size checked.Planp.Typecheck.program)
-
-let fold_preserves_semantics () =
-  (* The folded jit backend must agree with the unfolded one on the real
-     ASPs, packet for packet. *)
-  let source =
-    Asp.Audio_asp.router_program ~iface:1 ()
-  in
-  let checked =
-    Planp.Typecheck.check_exn ~prims:Prim.type_lookup (Planp.Parser.parse source)
-  in
-  let globals = globals_of checked in
-  let packet =
-    Packet.udp ~src:1 ~dst:2 ~src_port:5004 ~dst_port:5004
-      (Planp_runtime.Audio_frame.Wire.synth ~seq:4 ~frames:30 ~phase:1)
-  in
-  let run backend =
-    let compiled = backend.Backend.compile checked ~globals in
-    let chan, exec = List.hd compiled in
-    let pkt = Option.get (Pkt_codec.decode chan.Planp.Ast.pkt_type packet) in
-    let world, _, emissions = World.dummy () in
-    let ps, _ = exec world ~ps:(Value.Vint 0) ~ss:(Value.Vint 0) ~pkt in
-    (ps, List.length (emissions ()))
-  in
-  let folded = run Backends.jit in
-  let unfolded = run Backends.jit_nofold in
-  checkb "same state" true (Value.equal (fst folded) (fst unfolded));
-  check "same emissions" (snd unfolded) (snd folded)
-
 let backends_list () =
   check "three backends" 3 (List.length (Backends.all ()));
   checkb "lookup" true (Option.is_some (Backends.by_name "jit"));
-  checkb "ablation backend" true (Option.is_some (Backends.by_name "jit-nofold"));
   checkb "unknown" true (Option.is_none (Backends.by_name "llvm"))
 
 let () =
@@ -394,6 +336,8 @@ let () =
           Alcotest.test_case "parameters" `Quick jit_with_params;
           Alcotest.test_case "function calls" `Quick jit_function_calls;
           Alcotest.test_case "codegen time" `Quick codegen_time_positive;
+          Alcotest.test_case "global compiles like a literal" `Quick
+            global_compiles_like_literal;
         ] );
       ( "vm",
         [
@@ -404,11 +348,5 @@ let () =
           Alcotest.test_case "deep nesting stress" `Quick deep_nesting_stress;
           Alcotest.test_case "try across calls" `Quick vm_try_across_calls;
           Alcotest.test_case "backend list" `Quick backends_list;
-        ] );
-      ( "fold",
-        [
-          Alcotest.test_case "specific cases" `Quick fold_specific_cases;
-          Alcotest.test_case "shrinks the gateway" `Quick fold_shrinks_gateway;
-          Alcotest.test_case "preserves semantics" `Quick fold_preserves_semantics;
         ] );
     ]

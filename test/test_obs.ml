@@ -213,17 +213,7 @@ let typed_reads_wrong_kind_raises () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* --- enable/disable and reset --------------------------------------- *)
-
-let disabled_updates_are_noops () =
-  let registry = Obs.Registry.create () in
-  let c = Obs.Registry.counter ~registry "c" in
-  Obs.Registry.set_enabled registry false;
-  Obs.Registry.incr c;
-  check "no count while disabled" 0 (Obs.Registry.count c);
-  Obs.Registry.set_enabled registry true;
-  Obs.Registry.incr c;
-  check "counts again" 1 (Obs.Registry.count c)
+(* --- reset --------------------------------------------------------- *)
 
 let reset_drops_metrics () =
   let registry = Obs.Registry.create () in
@@ -410,7 +400,6 @@ let () =
             volatile_excluded_from_exports;
           Alcotest.test_case "histogram buckets" `Quick histogram_buckets;
           Alcotest.test_case "histogram export" `Quick histogram_observe_and_export;
-          Alcotest.test_case "disabled is a no-op" `Quick disabled_updates_are_noops;
           Alcotest.test_case "reset drops metrics" `Quick reset_drops_metrics;
           Alcotest.test_case "typed reads" `Quick typed_reads;
           Alcotest.test_case "typed reads never create" `Quick

@@ -651,13 +651,6 @@ let eval_three expr =
   in
   (reference, jit, vm)
 
-let eval_folded expr =
-  let world, _, _ = World.dummy () in
-  let folded = Planp_jit.Fold.expr ~globals:[] expr in
-  ( (try Ok (Interp.eval_const ~world ~globals:[] folded)
-     with Value.Planp_raise e -> Error e),
-    folded )
-
 let result_equal a b =
   match (a, b) with
   | Ok va, Ok vb -> Value.equal va vb
@@ -671,16 +664,6 @@ let backends_differential =
     (fun expr ->
       let reference, jit, vm = eval_three expr in
       result_equal reference jit && result_equal reference vm)
-
-let fold_differential =
-  Q.Test.make
-    ~name:"fold: constant folding preserves evaluation and never grows the AST"
-    ~count:(500 * prop_scale) expr_arbitrary
-    (fun expr ->
-      let reference, _, _ = eval_three expr in
-      let folded_result, folded = eval_folded expr in
-      result_equal reference folded_result
-      && Planp_jit.Fold.count_nodes folded <= Planp_jit.Fold.count_nodes expr)
 
 let pretty_parse_roundtrip =
   Q.Test.make ~name:"pretty: print/parse/print is a fixed point" ~count:300
@@ -1103,12 +1086,9 @@ let run_program backend source packets =
             state "network" 1 ),
           (stats.Planp_runtime.Runtime.handled, stats.fallthrough, stats.errors) )
 
-let program_backends =
-  Planp_jit.Backends.[ interp; bytecode; jit; jit_nofold ]
-
 let backends_program_differential =
   Q.Test.make
-    ~name:"programs: interp, VM, JIT and jit-nofold agree"
+    ~name:"programs: interp, VM and JIT agree"
     ~count:(60 * prop_scale)
     (Q.make
        ~print:(fun (source, packets) ->
@@ -1125,7 +1105,7 @@ let backends_program_differential =
           run_program backend source packets = reference
           || Q.Test.fail_reportf "%s disagrees with the interpreter"
                backend.Planp_runtime.Backend.backend_name)
-        program_backends)
+        (Planp_jit.Backends.all ()))
 
 (* ---------- tables against an association-list model ---------- *)
 
@@ -1661,7 +1641,6 @@ let () =
         file_sizes_bounded;
         backends_differential;
         backends_program_differential;
-        fold_differential;
         pretty_parse_roundtrip;
         reparsed_evaluates_same;
         codec_roundtrip;
