@@ -64,14 +64,13 @@ let signals_referenced t =
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
+let field = Netsim.Line_format.field
+let fail = Netsim.Line_format.fail
 
-let fail fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
-
-let float_tok what token =
-  match float_of_string_opt token with
-  | Some v -> v
-  | None -> fail "%s: expected a number, got %S" what token
+(* A number field of rule [rule]: its errors read "rule NAME FIELD: ...". *)
+let rule_field kind rule name text =
+  try field kind name text
+  with Netsim.Line_format.Error message -> fail "rule %s %s" rule message
 
 let cmp_of_token = function
   | ">" -> Gt
@@ -85,32 +84,25 @@ let strip_quotes s =
   if n >= 2 && s.[0] = '"' && s.[n - 1] = '"' then String.sub s 1 (n - 2)
   else s
 
-(* when SIG CMP VAL [and SIG CMP VAL]* -> (predicate, rest after clauses) *)
-let rec parse_clauses acc = function
-  | signal :: cmp :: threshold :: rest ->
-      let threshold = float_tok "threshold" threshold in
-      (* Every comparison with nan is false (the rule never fires), and
-         one with an infinite bound ignores the signal altogether. *)
-      if Float.is_nan threshold then
-        fail "signal %s: threshold must be a number, got nan" signal;
-      if not (Float.is_finite threshold) then
-        fail "signal %s: threshold must be finite, got %g" signal threshold;
+(* when SIG CMP VAL [and SIG CMP VAL]* -> (predicate, rest after clauses).
+   A comparison with nan never holds and one with an infinite bound
+   ignores its signal, so thresholds are [Finite]. *)
+let rec parse_clauses rule acc = function
+  | signal :: cmp :: threshold :: rest -> (
+      let threshold = rule_field Finite rule signal threshold in
       let clause = Cmp { signal; cmp = cmp_of_token cmp; threshold } in
-      (match rest with
-      | "and" :: rest -> parse_clauses (clause :: acc) rest
+      match rest with
+      | "and" :: rest -> parse_clauses rule (clause :: acc) rest
       | rest -> (List.rev (clause :: acc), rest))
   | _ -> fail "incomplete condition: expected SIGNAL CMP VALUE"
 
-let parse_action = function
+(* A parameter consumer truncating nan or infinity to an int reads 0, so
+   retune values are [Finite]. *)
+let parse_action rule = function
   | [ "swap"; program; variant ] -> Swap { program; variant }
   | [ "undeploy"; program ] -> Undeploy { program }
   | [ "retune"; param; value ] ->
-      let value = float_tok "retune value" value in
-      (* A parameter consumer truncating nan or infinity to an int reads
-         0: a typo would silently zero it. *)
-      if not (Float.is_finite value) then
-        fail "retune %s: value must be finite, got %g" param value;
-      Retune { param; value }
+      Retune { param; value = rule_field Finite rule "retune" value }
   | "escalate" :: (_ :: _ as reason) ->
       Escalate { reason = strip_quotes (String.concat " " reason) }
   | tokens ->
@@ -122,35 +114,27 @@ let parse_action = function
 let parse_rule tokens =
   let name, tokens =
     match tokens with
-    | name :: "when" :: rest ->
-        let name =
-          if String.length name > 1 && name.[String.length name - 1] = ':' then
-            String.sub name 0 (String.length name - 1)
-          else name
-        in
-        (name, rest)
+    | name :: "when" :: rest
+      when String.length name > 1 && String.ends_with ~suffix:":" name ->
+        (String.sub name 0 (String.length name - 1), rest)
+    | name :: "when" :: rest -> (name, rest)
     | _ -> fail "expected: rule NAME: when ..."
   in
-  let predicate, tokens = parse_clauses [] tokens in
+  let predicate, tokens = parse_clauses name [] tokens in
   let hold, tokens =
     match tokens with
-    | "for" :: hold :: rest -> (float_tok "hold time" hold, rest)
+    | "for" :: hold :: rest -> (rule_field Duration name "hold" hold, rest)
     | _ -> fail "rule %s: expected 'for HOLD' after the condition" name
   in
-  (* [< 0.0] alone lets nan through (every comparison with nan is false),
-     and an infinite hold can never be satisfied. *)
-  if not (Float.is_finite hold) || hold < 0.0 then
-    fail "rule %s: hold time out of range (must be finite and >= 0)" name;
   let cooldown, tokens =
     match tokens with
-    | "cooldown" :: cooldown :: rest -> (float_tok "cooldown" cooldown, rest)
+    | "cooldown" :: cooldown :: rest ->
+        (rule_field Duration name "cooldown" cooldown, rest)
     | tokens -> (0.0, tokens)
   in
-  if not (Float.is_finite cooldown) || cooldown < 0.0 then
-    fail "rule %s: cooldown out of range (must be finite and >= 0)" name;
   let action =
     match tokens with
-    | "do" :: action -> parse_action action
+    | "do" :: action -> parse_action name action
     | _ -> fail "rule %s: expected 'do ACTION'" name
   in
   {
@@ -163,59 +147,27 @@ let parse_rule tokens =
 
 let parse_guard = function
   | [ signal; "window"; window; "min-ratio"; ratio ] ->
-      let window = float_tok "guard window" window in
-      let ratio = float_tok "guard min-ratio" ratio in
-      if not (Float.is_finite window && window > 0.0) then
-        fail "guard: window must be finite and positive";
-      if not (Float.is_finite ratio && ratio > 0.0) then
-        fail "guard: min-ratio must be finite and positive";
-      { g_signal = signal; g_window = window; g_min_ratio = ratio }
+      let g_window = field Positive "guard window" window in
+      let g_min_ratio = field Positive "guard min-ratio" ratio in
+      { g_signal = signal; g_window; g_min_ratio }
   | _ -> fail "expected: guard SIGNAL window SECONDS min-ratio RATIO"
 
+let parse_line t = function
+  | [ "period"; period ] -> { t with period = field Positive "period" period }
+  | [ "alpha"; alpha ] -> { t with alpha = field Factor "alpha" alpha }
+  | "rule" :: tokens ->
+      let rule = parse_rule tokens in
+      if List.exists (fun existing -> existing.rl_name = rule.rl_name) t.rules
+      then fail "duplicate rule name %S" rule.rl_name;
+      { t with rules = rule :: t.rules }
+  | "guard" :: tokens -> (
+      match t.guard with
+      | Some _ -> fail "duplicate guard"
+      | None -> { t with guard = Some (parse_guard tokens) })
+  | token :: _ -> fail "unknown directive %S" token
+  | [] -> t
+
 let parse text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok { acc with rules = List.rev acc.rules }
-    | line :: rest -> (
-        let line =
-          match String.index_opt line '#' with
-          | Some i -> String.sub line 0 i
-          | None -> line
-        in
-        let tokens =
-          List.filter
-            (fun token -> token <> "")
-            (String.split_on_char ' '
-               (String.map (function '\t' -> ' ' | c -> c) line))
-        in
-        match
-          match tokens with
-          | [] -> acc
-          | [ "period"; period ] ->
-              let period = float_tok "period" period in
-              if not (Float.is_finite period && period > 0.0) then
-                fail "period must be finite and positive";
-              { acc with period }
-          | [ "alpha"; alpha ] ->
-              let alpha = float_tok "alpha" alpha in
-              if not (alpha > 0.0 && alpha <= 1.0) then
-                fail "alpha must be in (0, 1]";
-              { acc with alpha }
-          | "rule" :: tokens ->
-              let rule = parse_rule tokens in
-              if
-                List.exists
-                  (fun existing -> existing.rl_name = rule.rl_name)
-                  acc.rules
-              then fail "duplicate rule name %S" rule.rl_name;
-              { acc with rules = rule :: acc.rules }
-          | "guard" :: tokens -> (
-              match acc.guard with
-              | Some _ -> fail "duplicate guard"
-              | None -> { acc with guard = Some (parse_guard tokens) })
-          | token :: _ -> fail "unknown directive %S" token
-        with
-        | acc -> go (lineno + 1) acc rest
-        | exception Bad msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-  in
-  go 1 empty lines
+  Result.map
+    (fun t -> { t with rules = List.rev t.rules })
+    (Netsim.Line_format.parse parse_line empty text)

@@ -65,10 +65,11 @@ val parse : string -> (t, string) result
       rule bail: when retry_rate > 20 for 5 do escalate "retry storm"
       guard goodput window 4 min-ratio 0.5
     ]}
-    The error string names the offending line — also for a duplicate
-    rule name, and for out-of-range numbers (hold times and cooldowns
-    must be finite and non-negative; period, guard window and min-ratio
-    finite and positive). *)
+    Lines and number fields are read by {!Netsim.Line_format}:
+    thresholds and retune values are [Finite], holds and cooldowns
+    [Duration], period, guard window and min-ratio [Positive], alpha a
+    [Factor]. Errors name the line and, for a number, the field, e.g.
+    ["line 1: rule x cooldown: not a finite number (inf)"]. *)
 
 val action_to_string : action -> string
 val cmp_to_string : cmp -> string

@@ -56,35 +56,6 @@ module Trace = struct
         Some id
 
   let remaining trace = trace.count
-
-  let save trace path =
-    let ids = List.of_seq trace.ids in
-    trace.ids <- List.to_seq ids;
-    let oc = open_out path in
-    (try List.iter (fun id -> output_string oc (string_of_int id ^ "\n")) ids
-     with e ->
-       close_out_noerr oc;
-       raise e);
-    close_out oc
-
-  let load path =
-    let ic = open_in path in
-    let ids = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line <> "" then
-           match int_of_string_opt line with
-           | Some id -> ids := id :: !ids
-           | None -> failwith (Printf.sprintf "Trace.load: bad line %S" line)
-       done
-     with
-     | End_of_file -> close_in ic
-     | e ->
-         close_in_noerr ic;
-         raise e);
-    let ids = List.rev !ids in
-    { ids = List.to_seq ids; count = List.length ids }
 end
 
 (* ---------- server ---------- *)

@@ -31,16 +31,6 @@ module Trace : sig
 
   (** [remaining trace] is the number of ids [pull] will still return. *)
   val remaining : t -> int
-
-  (** [save trace path] / [load path] — one decimal file id per line, the
-    format of the paper-era access logs after URL interning; lets users
-    replay their own traces instead of the synthetic one. [save] writes
-    the remaining ids (drawing the rest of a generated trace) and leaves
-    them to be pulled. Both close their channel on every exit.
-    @raise Sys_error on IO failure, [Failure] on a malformed line. *)
-  val save : t -> string -> unit
-
-  val load : string -> t
 end
 
 module Server : sig

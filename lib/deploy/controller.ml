@@ -116,14 +116,17 @@ let on_reply t ~target payload =
         (Nakked { epoch; reason })
   | Some _ | None -> ()
 
-(* The capsule stream to [target] exhausted its retry budget: the daemon
-   is unreachable. Every operation pending against the target settles
-   [Aborted] now (graceful, instead of idling to its timeout), and the
-   conn is torn down so a later operation dials a fresh stream — on new
-   ports, so stray traffic for the dead stream cannot be misdelivered. *)
-let on_stream_abort t ~target reason =
+(* A deadline passed ([Timed_out]) or the capsule stream exhausted its
+   retry budget ([Aborted]): the stream is closed, so no capsule of a
+   settled operation installs late, and forgotten before any [on_done]
+   runs, so the next operation dials a fresh stream on new ports. Every
+   operation pending on [target] settles with [outcome]. *)
+let give_up t ~target outcome =
   (match Hashtbl.find_opt t.conns target with
-  | Some conn -> bill_retransmissions t conn
+  | Some conn ->
+      bill_retransmissions t conn;
+      Reliable.Sender.close conn.stream;
+      Hashtbl.remove t.conns target
   | None -> ());
   let names =
     Hashtbl.fold
@@ -132,9 +135,8 @@ let on_stream_abort t ~target reason =
       t.pending []
   in
   List.iter
-    (fun name -> settle t ~target ~name (Aborted { reason }))
-    (List.sort String.compare names);
-  Hashtbl.remove t.conns target
+    (fun name -> settle t ~target ~name outcome)
+    (List.sort String.compare names)
 
 let conn_of t target =
   match Hashtbl.find_opt t.conns target with
@@ -147,7 +149,7 @@ let conn_of t target =
       let stream =
         Reliable.Sender.connect ~chan_tag:Capsule.chan_tag ~rto:t.rto
           ~max_rto:t.max_rto ?retry_budget:t.retry_budget
-          ~on_abort:(fun reason -> on_stream_abort t ~target reason)
+          ~on_abort:(fun reason -> give_up t ~target (Aborted { reason }))
           t.ctl_node ~dst:target ~dst_port:t.daemon_port ~src_port ()
       in
       let _rx =
@@ -186,7 +188,7 @@ let arm t ~target ~name ~epoch ~strict ~timeout on_done =
   Engine.schedule_after (Node.engine t.ctl_node) ~delay:timeout (fun () ->
       match Hashtbl.find_opt t.pending (target, name) with
       | Some current when current == pending && not pending.p_done ->
-          settle t ~target ~name Timed_out
+          give_up t ~target Timed_out
       | Some _ | None -> ())
 
 let deploy ?(backend = "jit") ?(authenticated = false) ?epoch ?(timeout = 60.0)

@@ -30,7 +30,7 @@ type t
       tolerates before the controller declares the target unreachable:
       every operation pending against it settles [Aborted] and the
       stream is torn down (a later operation dials afresh). Default:
-      unlimited, preserving retry-forever behaviour. *)
+      unlimited — the stream retries until the operation's deadline. *)
 val create :
   ?secret:string ->
   ?chunk_size:int ->
@@ -50,7 +50,10 @@ type outcome =
   | Acked of { epoch : int; install_latency : float; note : string }
       (** signed ACK verified; [install_latency] is simulated seconds *)
   | Nakked of { epoch : int; reason : string }
-  | Timed_out  (** no (valid) answer within the deadline *)
+  | Timed_out
+      (** no (valid) answer within the deadline: the target's stream is
+          closed, so nothing installs late, and every other operation
+          pending on the target settles [Timed_out] too *)
   | Skipped  (** rollout aborted before this target was attempted *)
   | Aborted of { reason : string }
       (** the capsule stream exhausted its retry budget — the target is

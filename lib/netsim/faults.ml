@@ -47,125 +47,58 @@ let rng_float rng =
 (* Scenario-file parser                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* NaN passes every range check below (each comparison is false), and an
-   infinite time is never reached: both are refused here. *)
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some v when Float.is_finite v -> Ok v
-  | Some _ -> Error (Printf.sprintf "%s: not a finite number (%s)" what s)
-  | None -> Error (Printf.sprintf "%s: not a number (%s)" what s)
+let field = Line_format.field
+let fail = Line_format.fail
 
-let parse_rate what s =
-  match parse_float what s with
-  | Error _ as e -> e
-  | Ok v when v < 0.0 || v > 1.0 ->
-      Error (Printf.sprintf "%s: probability out of [0,1] (%s)" what s)
-  | Ok v -> Ok v
-
-let parse_factor what s =
-  match parse_float what s with
-  | Error _ as e -> e
-  | Ok v when v <= 0.0 || v > 1.0 ->
-      Error (Printf.sprintf "%s: factor out of (0,1] (%s)" what s)
-  | Ok v -> Ok v
-
-let rec parse_congest_opts ~bandwidth ~queue = function
-  | [] -> Ok (Congest { bandwidth_factor = bandwidth; queue_factor = queue })
-  | "bandwidth" :: v :: rest -> (
-      match parse_factor "bandwidth" v with
-      | Error _ as e -> e
-      | Ok bandwidth -> parse_congest_opts ~bandwidth ~queue rest)
-  | "queue" :: v :: rest -> (
-      match parse_factor "queue" v with
-      | Error _ as e -> e
-      | Ok queue -> parse_congest_opts ~bandwidth ~queue rest)
-  | token :: _ -> Error (Printf.sprintf "congest: unknown option %s" token)
+let rec congest_opts ~bandwidth ~queue = function
+  | [] -> Congest { bandwidth_factor = bandwidth; queue_factor = queue }
+  | "bandwidth" :: v :: rest ->
+      congest_opts ~bandwidth:(field Factor "bandwidth" v) ~queue rest
+  | "queue" :: v :: rest ->
+      congest_opts ~bandwidth ~queue:(field Factor "queue" v) rest
+  | token :: _ -> fail "congest: unknown option %s" token
 
 (* The body of an event line, after [at T [until T2]] has been consumed. *)
-let parse_body tokens =
-  match tokens with
-  | [ "link"; "down"; name ] -> Ok (Link_down, Some (Tlink name))
-  | [ "link"; "loss"; name; p ] -> (
-      match parse_rate "link loss" p with
-      | Error _ as e -> e
-      | Ok p -> Ok (Loss p, Some (Tlink name)))
-  | [ "link"; "corrupt"; name; p ] -> (
-      match parse_rate "link corrupt" p with
-      | Error _ as e -> e
-      | Ok p -> Ok (Corrupt p, Some (Tlink name)))
-  | [ "segment"; "loss"; name; p ] -> (
-      match parse_rate "segment loss" p with
-      | Error _ as e -> e
-      | Ok p -> Ok (Loss p, Some (Tsegment name)))
-  | [ "segment"; "corrupt"; name; p ] -> (
-      match parse_rate "segment corrupt" p with
-      | Error _ as e -> e
-      | Ok p -> Ok (Corrupt p, Some (Tsegment name)))
-  | "congest" :: name :: opts -> (
-      match parse_congest_opts ~bandwidth:1.0 ~queue:1.0 opts with
-      | Error _ as e -> e
-      | Ok kind -> Ok (kind, Some (Tlink name)))
-  | [ "node"; "crash"; name ] -> Ok (Crash { wipe = false }, Some (Tnode name))
-  | [ "node"; "crash-wipe"; name ] -> Ok (Crash { wipe = true }, Some (Tnode name))
-  | [ "reroute" ] -> Ok (Reroute, None)
-  | [] -> Error "missing fault after time spec"
-  | token :: _ -> Error (Printf.sprintf "unknown fault %s" token)
+let parse_body = function
+  | [ "link"; "down"; name ] -> (Link_down, Some (Tlink name))
+  | [ "link"; "loss"; name; p ] ->
+      (Loss (field Probability "link loss" p), Some (Tlink name))
+  | [ "link"; "corrupt"; name; p ] ->
+      (Corrupt (field Probability "link corrupt" p), Some (Tlink name))
+  | [ "segment"; "loss"; name; p ] ->
+      (Loss (field Probability "segment loss" p), Some (Tsegment name))
+  | [ "segment"; "corrupt"; name; p ] ->
+      (Corrupt (field Probability "segment corrupt" p), Some (Tsegment name))
+  | "congest" :: name :: opts ->
+      (congest_opts ~bandwidth:1.0 ~queue:1.0 opts, Some (Tlink name))
+  | [ "node"; "crash"; name ] -> (Crash { wipe = false }, Some (Tnode name))
+  | [ "node"; "crash-wipe"; name ] -> (Crash { wipe = true }, Some (Tnode name))
+  | [ "reroute" ] -> (Reroute, None)
+  | [] -> fail "missing fault after time spec"
+  | token :: _ -> fail "unknown fault %s" token
 
-let parse_line line =
-  match String.split_on_char ' ' line |> List.filter (fun t -> t <> "") with
-  | [] -> Ok `Blank
-  | [ "seed"; n ] -> (
-      match int_of_string_opt n with
-      | Some seed -> Ok (`Seed seed)
-      | None -> Error (Printf.sprintf "seed: not an integer (%s)" n))
-  | "at" :: t :: rest -> (
-      match parse_float "at" t with
-      | Error _ as e -> (e :> (_, string) result)
-      | Ok at -> (
-          let until, body =
-            match rest with
-            | "until" :: t2 :: body -> (Some t2, body)
-            | body -> (None, body)
-          in
-          let until =
-            match until with
-            | None -> Ok None
-            | Some t2 -> (
-                match parse_float "until" t2 with
-                | Error _ as e -> e
-                | Ok u when u < at ->
-                    Error (Printf.sprintf "until %g is before at %g" u at)
-                | Ok u -> Ok (Some u))
-          in
-          match until with
-          | Error _ as e -> (e :> (_, string) result)
-          | Ok ft_until -> (
-              match parse_body body with
-              | Error _ as e -> (e :> (_, string) result)
-              | Ok (ft_kind, ft_target) ->
-                  Ok (`Event { ft_at = at; ft_until; ft_kind; ft_target }))))
-  | token :: _ -> Error (Printf.sprintf "expected 'seed' or 'at', got %s" token)
+let parse_line scenario = function
+  | [ "seed"; n ] -> { scenario with seed = field Int "seed" n }
+  | "at" :: t :: rest ->
+      let ft_at = field Finite "at" t in
+      let ft_until, body =
+        match rest with
+        | "until" :: t2 :: body ->
+            let u = field Finite "until" t2 in
+            if u < ft_at then fail "until %g is before at %g" u ft_at;
+            (Some u, body)
+        | body -> (None, body)
+      in
+      let ft_kind, ft_target = parse_body body in
+      let event = { ft_at; ft_until; ft_kind; ft_target } in
+      { scenario with events = event :: scenario.events }
+  | token :: _ -> fail "expected 'seed' or 'at', got %s" token
+  | [] -> scenario
 
 let parse_scenario text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno seed events = function
-    | [] -> Ok { seed; events = List.rev events }
-    | line :: rest -> (
-        let line =
-          match String.index_opt line '#' with
-          | Some i -> String.sub line 0 i
-          | None -> line
-        in
-        let line = String.trim line in
-        if line = "" then go (lineno + 1) seed events rest
-        else
-          match parse_line line with
-          | Ok `Blank -> go (lineno + 1) seed events rest
-          | Ok (`Seed s) -> go (lineno + 1) s events rest
-          | Ok (`Event e) -> go (lineno + 1) seed (e :: events) rest
-          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-  in
-  go 1 0 [] lines
+  Result.map
+    (fun scenario -> { scenario with events = List.rev scenario.events })
+    (Line_format.parse parse_line empty text)
 
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)

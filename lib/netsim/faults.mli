@@ -70,9 +70,10 @@ val parse_scenario : string -> (scenario, string) result
       at 4.0 node crash-wipe router
       at 2.5 reroute
     ]}
-    The error string names the offending line. Times, probabilities and
-    factors must be finite numbers: [nan] or [inf] reads as
-    ["line N: <field>: not a finite number (<text>)"]. *)
+    Lines and number fields are read by {!Line_format}: [at] and
+    [until] are [Finite], rates [Probability], congestion factors
+    [Factor] and [seed] an [Int]. Errors name the line and field, e.g.
+    ["line 1: at: not a finite number (nan)"]. *)
 
 val scenario_of_events : ?seed:int -> event list -> scenario
 

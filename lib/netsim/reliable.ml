@@ -36,8 +36,13 @@ module Sender = struct
     Node.send_udp ?chan_tag:t.chan_tag t.node ~dst:t.dst ~src_port:t.src_port
       ~dst_port:t.dst_port (encode_data seq payload)
 
+  let close t =
+    t.is_aborted <- true;
+    Queue.clear t.queue;
+    Hashtbl.reset t.inflight
+
   (* Move queued messages into the window and (re)arm the timer. *)
-  let rec pump t =
+  let pump t =
     while Hashtbl.length t.inflight < t.window && not (Queue.is_empty t.queue) do
       let payload = Queue.pop t.queue in
       let seq = t.next_seq in
@@ -52,23 +57,18 @@ module Sender = struct
       Engine.schedule_after (Node.engine t.node) ~delay:t.cur_rto t.timeout_thunk
     end
 
-  and abort t reason =
-    t.is_aborted <- true;
-    Queue.clear t.queue;
-    Hashtbl.reset t.inflight;
-    t.on_abort reason
-
   (* Go-back-N-ish: retransmit everything still in flight, backing the
      timeout off exponentially (capped at [max_rto]) until an ACK makes
      progress.  A retry budget bounds consecutive barren timeouts; past
      it the stream gives up cleanly instead of retrying forever into a
      black hole. *)
-  and on_timeout t =
+  let on_timeout t =
     if (not t.is_aborted) && Hashtbl.length t.inflight > 0 then begin
       t.strikes <- t.strikes + 1;
       match t.retry_budget with
       | Some budget when t.strikes > budget ->
-          abort t
+          close t;
+          t.on_abort
             (Printf.sprintf "retry budget exhausted (%d timeouts at seq %d)"
                budget t.base)
       | Some _ | None ->

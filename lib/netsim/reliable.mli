@@ -62,8 +62,12 @@ module Sender : sig
   (** [acked t] — highest cumulative acknowledgement received. *)
   val acked : t -> int
 
-  (** [aborted t] — true once the retry budget was exhausted; the stream
-      is dead and [send] is a no-op. *)
+  (** [close t] ends the stream as an exhausted budget does, but without
+      calling [on_abort]. *)
+  val close : t -> unit
+
+  (** [aborted t] — true once the stream was closed or its retry budget
+      exhausted; the stream is dead and [send] is a no-op. *)
   val aborted : t -> bool
 end
 

@@ -261,52 +261,6 @@ let read_quantile ?(registry = default) ?(labels = []) ~q name =
   | Some metric -> wrong_kind metric "histogram"
 
 (* ------------------------------------------------------------------ *)
-(* Merging                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Fold one registry into another: counters and histograms add, gauges
-   take the source's sampled value (callbacks collapse to a plain value in
-   the destination).  Missing destination metrics are created with the
-   source's help text and volatility.  Iteration goes in canonical key
-   order so repeated merges touch the destination deterministically. *)
-let merge ~into src =
-  Hashtbl.fold (fun key metric acc -> (key, metric) :: acc) src.table []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (_, metric) ->
-         let dst =
-           find_or_add into ~name:metric.m_name ~labels:metric.m_labels
-             ~help:metric.m_help ~volatile:metric.m_volatile (fun () ->
-               match metric.m_data with
-               | Counter _ -> Counter (Atomic.make 0)
-               | Gauge _ -> Gauge { g_value = 0.0; g_fn = None }
-               | Histogram _ ->
-                   Histogram
-                     {
-                       h_count = 0;
-                       h_sum = 0.0;
-                       h_buckets = Array.make hist_slots 0;
-                     })
-         in
-         match (metric.m_data, dst.m_data) with
-         | Counter src_cell, Counter dst_cell ->
-             ignore (Atomic.fetch_and_add dst_cell (Atomic.get src_cell))
-         | Gauge src_cell, Gauge dst_cell ->
-             dst_cell.g_fn <- None;
-             dst_cell.g_value <-
-               (match src_cell.g_fn with
-               | Some f -> f ()
-               | None -> src_cell.g_value)
-         | Histogram src_cell, Histogram dst_cell ->
-             dst_cell.h_count <- dst_cell.h_count + src_cell.h_count;
-             dst_cell.h_sum <- dst_cell.h_sum +. src_cell.h_sum;
-             for slot = 0 to hist_slots - 1 do
-               dst_cell.h_buckets.(slot) <-
-                 dst_cell.h_buckets.(slot) + src_cell.h_buckets.(slot)
-             done
-         | (Counter _ | Gauge _ | Histogram _), _ ->
-             wrong_kind dst (kind_name metric.m_data))
-
-(* ------------------------------------------------------------------ *)
 (* Snapshots and exports                                               *)
 (* ------------------------------------------------------------------ *)
 

@@ -123,8 +123,7 @@ val quantile : histogram -> float -> float
 
     Read-only: unlike the handle constructors these never create a cell,
     so probing for a metric no component has registered is side-effect
-    free and returns [None]. Condition monitors ({!Adapt} in the umbrella
-    library) sample through this API every probe period.
+    free and returns [None]. [Adapt.Monitor] reads its handles instead.
 
     @raise Invalid_argument when the name+labels pair names a metric of
     another kind. *)
@@ -138,19 +137,6 @@ val read_histogram : ?registry:t -> ?labels:labels -> string -> (int * float) op
 val read_quantile :
   ?registry:t -> ?labels:labels -> q:float -> string -> float option
 (** {!quantile} by name. *)
-
-(** {1 Merging} *)
-
-val merge : into:t -> t -> unit
-(** [merge ~into src] folds every metric of [src] into [into]: counters
-    and histograms add, gauges take the source's sampled value (callback
-    gauges collapse to a plain stored value in the destination). Metrics
-    missing from [into] are created with the source's help text and
-    volatility. Deterministic: sources are walked in canonical key order,
-    so merging the per-domain registries of a partitioned run in partition
-    order always produces the same destination.
-    @raise Invalid_argument when a name+labels pair exists in both
-    registries with different kinds. *)
 
 (** {1 Snapshots and exports} *)
 

@@ -70,7 +70,9 @@ let lex_int st =
   while (not (at_end st)) && is_digit (peek st) do
     advance st
   done;
-  int_of_string (String.sub st.src start (st.pos - start))
+  match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+  | Some n -> n
+  | None -> fail st "integer literal out of range"
 
 (* An integer followed by ".digit" starts a dotted-quad host literal; the
    language has no floating point so there is no ambiguity. *)

@@ -140,6 +140,56 @@ let policy_parse_roundtrip () =
           checkf "guard ratio" 0.5 g.Policy.g_min_ratio
       | None -> Alcotest.fail "expected a guard"
 
+(* The example block of doc/ADAPTATION.md: the fenced lines under
+   "## Policy files". *)
+let doc_policy () =
+  let doc =
+    In_channel.with_open_bin "../doc/ADAPTATION.md" In_channel.input_all
+  in
+  let rec skip_to marker = function
+    | [] -> Alcotest.failf "doc/ADAPTATION.md: no %S" marker
+    | line :: rest when line = marker -> rest
+    | _ :: rest -> skip_to marker rest
+  in
+  let rec fenced acc = function
+    | [] | "```" :: _ -> String.concat "\n" (List.rev acc)
+    | line :: rest -> fenced (line :: acc) rest
+  in
+  String.split_on_char '\n' doc
+  |> skip_to "## Policy files" |> skip_to "```" |> fenced []
+
+let policy_parse_doc () =
+  let cmp signal cmp threshold = Policy.Cmp { signal; cmp; threshold } in
+  let rule ?(cooldown = 0.0) rl_name rl_pred rl_hold rl_action =
+    { Policy.rl_name; rl_pred; rl_hold; rl_cooldown = cooldown; rl_action }
+  in
+  let swap variant = Policy.Swap { program = "audio-router"; variant } in
+  let expected =
+    {
+      Policy.period = 0.5;
+      alpha = 0.4;
+      rules =
+        [
+          rule ~cooldown:8.0 "degrade" (cmp "drop_rate" Gt 5.0) 1.0
+            (swap "conservative");
+          rule "recover"
+            (Policy.All [ cmp "drop_rate" Lt 0.5; cmp "goodput" Gt 40.0 ])
+            4.0 (swap "default");
+          rule "shed" (cmp "drop_rate" Gt 50.0) 2.0
+            (Policy.Undeploy { program = "mpeg-filter" });
+          rule "tune" (cmp "queue_delay" Gt 0.25) 1.0
+            (Policy.Retune { param = "buffer"; value = 0.5 });
+          rule "bail" (cmp "retry_rate" Gt 20.0) 5.0
+            (Policy.Escalate { reason = "retry storm" });
+        ];
+      guard =
+        Some { Policy.g_signal = "goodput"; g_window = 4.0; g_min_ratio = 0.5 };
+    }
+  in
+  match Policy.parse (doc_policy ()) with
+  | Ok policy -> checkb "the documented policy" true (policy = expected)
+  | Error msg -> Alcotest.failf "doc/ADAPTATION.md example: %s" msg
+
 let policy_parse_errors () =
   let expect_line n text =
     match Policy.parse text with
@@ -502,9 +552,7 @@ let plane_timeout_keeps_fleet_on_one_epoch () =
       ~signals:[ ("x", Monitor.Sample (fun () -> 1.0)) ]
       policy
   in
-  (* The stream to h1 retransmits for ever under the default retry
-     budget, so the run is bounded in time. *)
-  Par.run_until par ~stop:80.0;
+  Par.run par;
   let stats = Plane.stats plane in
   check "one failed swap" 1 stats.Plane.st_failed_swaps;
   check "no converged swap" 0 stats.Plane.st_swaps;
@@ -797,6 +845,7 @@ let () =
       ( "policy",
         [
           Alcotest.test_case "grammar round-trip" `Quick policy_parse_roundtrip;
+          Alcotest.test_case "doc example parses" `Quick policy_parse_doc;
           Alcotest.test_case "errors name the line" `Quick policy_parse_errors;
           Alcotest.test_case "emptiness" `Quick policy_empty;
         ] );

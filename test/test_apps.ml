@@ -134,18 +134,6 @@ let http_trace () =
   checkb "ids in range" true (List.for_all (fun i -> i >= 1 && i <= 10) pulled);
   checkb "exhausted" true (Option.is_none (Http_app.Trace.pull trace))
 
-let http_trace_file_roundtrip () =
-  let trace = Http_app.Trace.generate ~requests:50 ~files:7 ~seed:9 () in
-  let original = List.init 50 (fun _ -> Option.get (Http_app.Trace.pull trace)) in
-  let trace2 = Http_app.Trace.generate ~requests:50 ~files:7 ~seed:9 () in
-  let path = Filename.temp_file "trace" ".txt" in
-  Http_app.Trace.save trace2 path;
-  let loaded = Http_app.Trace.load path in
-  Sys.remove path;
-  check "count survives" 50 (Http_app.Trace.remaining loaded);
-  let replayed = List.init 50 (fun _ -> Option.get (Http_app.Trace.pull loaded)) in
-  Alcotest.(check (list int)) "same ids in order" original replayed
-
 (* The trace as it was first built: every id drawn into a list before
    the first pull. The on-demand trace must yield exactly these. *)
 let eager_trace ?(alpha = 0.9) ~requests ~files ~seed () =
@@ -187,45 +175,6 @@ let http_trace_counts_down () =
   check "remaining at the end" 0 (Http_app.Trace.remaining trace);
   checkb "pull at the end" true (Option.is_none (Http_app.Trace.pull trace));
   check "remaining stays 0" 0 (Http_app.Trace.remaining trace)
-
-let http_trace_save_after_pulls () =
-  let all = eager_trace ~requests:60 ~files:20 ~seed:5 () in
-  let trace = Http_app.Trace.generate ~requests:60 ~files:20 ~seed:5 () in
-  let pulled = List.init 17 (fun _ -> Option.get (Http_app.Trace.pull trace)) in
-  let rest = List.filteri (fun i _ -> i >= 17) all in
-  Alcotest.(check (list int)) "first pulls" (List.filteri (fun i _ -> i < 17) all) pulled;
-  let path = Filename.temp_file "trace" ".txt" in
-  Http_app.Trace.save trace path;
-  let written = In_channel.with_open_text path In_channel.input_all in
-  Sys.remove path;
-  Alcotest.(check string) "file holds the remaining ids"
-    (String.concat "" (List.map (Printf.sprintf "%d\n") rest))
-    written;
-  check "remaining unchanged by save" 43 (Http_app.Trace.remaining trace);
-  Alcotest.(check (list int)) "same ids pulled after save" rest (pull_all trace);
-  checkb "exhausted" true (Option.is_none (Http_app.Trace.pull trace))
-
-(* Open descriptors of this process, where the system lists them. *)
-let open_fds () =
-  if Sys.file_exists "/proc/self/fd" && Sys.is_directory "/proc/self/fd" then
-    Some (Array.length (Sys.readdir "/proc/self/fd"))
-  else None
-
-let http_trace_load_malformed () =
-  let path = Filename.temp_file "trace" ".txt" in
-  let oc = open_out path in
-  output_string oc "3\n 4 \n\nfive\n6\n";
-  close_out oc;
-  let before = open_fds () in
-  for _ = 1 to 3 do
-    match Http_app.Trace.load path with
-    | _ -> Alcotest.fail "a malformed line must raise"
-    | exception Failure msg ->
-        Alcotest.(check string) "names the line" "Trace.load: bad line \"five\"" msg
-  done;
-  let after = open_fds () in
-  Sys.remove path;
-  Alcotest.(check (option int)) "no descriptor left open" before after
 
 let http_end_to_end_small () =
   let topo = Topology.create () in
@@ -512,14 +461,9 @@ let () =
           Alcotest.test_case "file sizes drawn once" `Quick
             http_file_sizes_drawn_once;
           Alcotest.test_case "trace" `Quick http_trace;
-          Alcotest.test_case "trace file roundtrip" `Quick http_trace_file_roundtrip;
           Alcotest.test_case "trace matches eager generation" `Quick
             http_trace_matches_eager;
           Alcotest.test_case "trace counts down" `Quick http_trace_counts_down;
-          Alcotest.test_case "trace save after pulls" `Quick
-            http_trace_save_after_pulls;
-          Alcotest.test_case "trace load closes on a bad line" `Quick
-            http_trace_load_malformed;
           Alcotest.test_case "end to end" `Quick http_end_to_end_small;
           Alcotest.test_case "shared response body" `Quick
             http_shared_response_body;

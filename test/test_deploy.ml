@@ -321,6 +321,32 @@ let deploy_verify_reject () =
      may be re-shipped once the program is fixed *)
   check "high water unchanged" 1 (Daemon.high_water daemon ~name:"counter")
 
+(* A literal past [max_int] is a parse error the daemon NAKs, not an
+   exception that escapes its capsule handler and ends the simulation. *)
+let deploy_literal_out_of_range () =
+  let topo, controller, daemon, _link = two_nodes () in
+  let target = Node.addr (Daemon.node daemon) in
+  ignore
+    (expect_ack
+       (deploy_sync ~run:Topology.run topo controller ~target ~name:"counter"
+          ~source:(counter_asp 1) ()));
+  let source =
+    "channel network(ps : int, ss : int, p : ip*udp*blob) is\n\
+     (deliver(p); (ps + 4611686018427387904, ss))"
+  in
+  let reason =
+    expect_nak
+      (deploy_sync ~run:Topology.run topo controller ~target ~name:"counter"
+         ~source ())
+  in
+  checkb
+    (Printf.sprintf "names the literal (%s)" reason)
+    true
+    (String.starts_with ~prefix:"parse error: integer literal out of range"
+       reason);
+  check "old epoch still active" 1
+    (Option.value ~default:0 (Daemon.active_epoch daemon ~name:"counter"))
+
 let deploy_authenticated_skips_verify () =
   let topo, controller, daemon, _link = two_nodes () in
   let target = Node.addr (Daemon.node daemon) in
@@ -695,19 +721,20 @@ let rollout_abort_on_timeout () =
   (match !baseline with
   | Some outcomes -> List.iter (fun (_, o) -> ignore (expect_ack o)) outcomes
   | None -> Alcotest.fail "baseline rollout never finished");
-  List.iter
-    (fun (link, a, b) ->
-      if a == Daemon.node h1 || b == Daemon.node h1 then Link.set_up link false)
-    (Topology.link_endpoints topo);
+  let set_h1_link up =
+    List.iter
+      (fun (link, a, b) ->
+        if a == Daemon.node h1 || b == Daemon.node h1 then Link.set_up link up)
+      (Topology.link_endpoints topo)
+  in
+  set_h1_link false;
   let result = ref None in
   Controller.rollout controller ~targets ~name:"counter"
     ~source:(counter_asp 2) ~concurrency:2 ~on_nak:Controller.Abort
     ~timeout:5.0
     ~on_done:(fun outcomes -> result := Some outcomes)
     ();
-  (* The stream to h1 retransmits for ever under the default retry
-     budget, so the run is bounded in time. *)
-  Topology.run_until topo ~stop:(Engine.now (Topology.engine topo) +. 60.0);
+  Topology.run topo;
   (match !result with
   | None -> Alcotest.fail "rollout never finished"
   | Some outcomes -> (
@@ -719,7 +746,18 @@ let rollout_abort_on_timeout () =
   check "acked target restored to epoch 1" 1
     (Option.value ~default:0 (Daemon.active_epoch h0 ~name:"counter"));
   check "unreachable target still on epoch 1" 1
-    (Option.value ~default:0 (Daemon.active_epoch h1 ~name:"counter"))
+    (Option.value ~default:0 (Daemon.active_epoch h1 ~name:"counter"));
+  (* The deadline closed h1's stream: once the link heals, no capsule of
+     the timed-out operation is left to install behind the controller's
+     back. *)
+  set_h1_link true;
+  Topology.run_until topo ~stop:(Engine.now (Topology.engine topo) +. 60.0);
+  check "h1 still on epoch 1 after the heal" 1
+    (Option.value ~default:0 (Daemon.active_epoch h1 ~name:"counter"));
+  check "the controller agrees" 1
+    (Option.value ~default:0
+       (Controller.epoch_of controller ~target:(List.nth targets 1)
+          ~name:"counter"))
 
 (* One restore over mixed priors: a target with a prior epoch is rolled
    back to it, a target without one is undeployed, and the outcomes come
@@ -890,6 +928,8 @@ let suite =
         Alcotest.test_case "stale epoch NAK" `Quick deploy_stale_epoch_nak;
         Alcotest.test_case "verify reject leaves old serving" `Quick
           deploy_verify_reject;
+        Alcotest.test_case "literal out of range NAK" `Quick
+          deploy_literal_out_of_range;
         Alcotest.test_case "authenticated skips verify" `Quick
           deploy_authenticated_skips_verify;
         Alcotest.test_case "rollback" `Quick deploy_rollback;

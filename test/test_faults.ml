@@ -85,6 +85,45 @@ let parse_scenario_grammar () =
       checkb "crash-wipe" true
         (wipe.Faults.ft_kind = Faults.Crash { wipe = true })
 
+(* The example block of doc/FAULTS.md: the indented lines under
+   "## Scenario files", less their indent. *)
+let doc_scenario () =
+  let doc = In_channel.with_open_bin "../doc/FAULTS.md" In_channel.input_all in
+  let rec section = function
+    | [] -> Alcotest.fail "doc/FAULTS.md: no \"## Scenario files\""
+    | "## Scenario files" :: rest -> rest
+    | _ :: rest -> section rest
+  in
+  let rec block started acc = function
+    | line :: rest when String.starts_with ~prefix:"    " line ->
+        block true (String.sub line 4 (String.length line - 4) :: acc) rest
+    | "" :: rest -> block started ("" :: acc) rest
+    | _ :: rest when not started -> block false acc rest
+    | _ -> String.concat "\n" (List.rev acc)
+  in
+  block false [] (section (String.split_on_char '\n' doc))
+
+let parse_doc_scenario () =
+  let link name = Faults.Tlink name and node name = Faults.Tnode name in
+  let expected =
+    Faults.scenario_of_events ~seed:42
+      [
+        fevent ~at:1.0 ~until:2.5 ~target:(link "uplink") Faults.Link_down;
+        fevent ~at:0.5 ~until:9.0 ~target:(link "uplink") (Faults.Loss 0.05);
+        fevent ~at:0.5 ~until:9.0 ~target:(Faults.Tsegment "lan")
+          (Faults.Corrupt 0.01);
+        fevent ~at:3.0 ~until:6.0 ~target:(link "backbone")
+          (Faults.Congest { bandwidth_factor = 0.5; queue_factor = 0.5 });
+        fevent ~at:4.0 ~until:6.0 ~target:(node "router")
+          (Faults.Crash { wipe = false });
+        fevent ~at:4.0 ~target:(node "router") (Faults.Crash { wipe = true });
+        fevent ~at:2.5 Faults.Reroute;
+      ]
+  in
+  match Faults.parse_scenario (doc_scenario ()) with
+  | Ok scenario -> checkb "the documented scenario" true (scenario = expected)
+  | Error message -> Alcotest.failf "doc/FAULTS.md example: %s" message
+
 let parse_scenario_errors () =
   let expect_error label text =
     match Faults.parse_scenario text with
@@ -556,6 +595,7 @@ let () =
       ( "scenario",
         [
           Alcotest.test_case "grammar round-trip" `Quick parse_scenario_grammar;
+          Alcotest.test_case "doc example parses" `Quick parse_doc_scenario;
           Alcotest.test_case "errors name the line" `Quick
             parse_scenario_errors;
           Alcotest.test_case "arm rejects unknown targets" `Quick

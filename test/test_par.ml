@@ -169,26 +169,6 @@ let plan_pin_glues () =
   ignore routers
 
 (* ------------------------------------------------------------------ *)
-(* Registry merge                                                      *)
-
-let registry_merge_values () =
-  let a = Registry.create () and b = Registry.create () in
-  let ca = Registry.counter ~registry:a ~help:"c" "m.count" in
-  let cb = Registry.counter ~registry:b ~help:"c" "m.count" in
-  Registry.add ca 3;
-  Registry.add cb 4;
-  let only = Registry.counter ~registry:b ~help:"only" "m.only" in
-  Registry.add only 7;
-  Registry.merge ~into:a b;
-  let expect = Registry.create () in
-  let ce = Registry.counter ~registry:expect ~help:"c" "m.count" in
-  Registry.add ce 7;
-  let oe = Registry.counter ~registry:expect ~help:"only" "m.only" in
-  Registry.add oe 7;
-  checks "merged export" (Registry.to_json_string expect)
-    (Registry.to_json_string a)
-
-(* ------------------------------------------------------------------ *)
 (* Raw driver mechanics                                                *)
 
 let raw_ping_pong engine name =
@@ -770,8 +750,6 @@ let () =
           Alcotest.test_case "segments glue" `Quick plan_segment_glues;
           Alcotest.test_case "pins glue" `Quick plan_pin_glues;
         ] );
-      ( "registry",
-        [ Alcotest.test_case "merge" `Quick registry_merge_values ] );
       ( "driver",
         [
           Alcotest.test_case "raw engines run and resume" `Quick

@@ -69,7 +69,15 @@ let lex_errors () =
   fails "''";
   fails "1.2.3.999";
   fails "@";
-  fails "#x"
+  fails "#x";
+  (* Literals past [max_int] are lexer errors, not [Failure]s. *)
+  fails "4611686018427387904";
+  fails "val big : int = 1234567890123456789012345678901234567890";
+  fails "#4611686018427387904";
+  fails "10.0.0.4611686018427387904";
+  match Lexer.tokenize (string_of_int max_int) with
+  | (Token.INT n, _) :: _ -> Alcotest.(check int) "max_int lexes" max_int n
+  | _ -> Alcotest.fail "max_int must lex as an integer"
 
 (* ---------- parser ---------- *)
 

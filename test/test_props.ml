@@ -15,10 +15,11 @@ module Audio_frame = Planp_runtime.Audio_frame
 
 let () = Planp_runtime.Prims.install ()
 
-(* The generated-program, decoder-fuzz, audio wire-kernel, payload
-   concatenation, int-table and scheduler properties run [prop_scale]
-   times their default case count when PLANP_PROP_SCALE is set (CI's
-   release job sets 10), so a local [dune runtest] stays fast. *)
+(* The generated-program, decoder-fuzz, line-format, audio wire-kernel,
+   payload concatenation, int-table and scheduler properties run
+   [prop_scale] times their default case count when PLANP_PROP_SCALE is
+   set (CI's release job sets 10), so a local [dune runtest] stays
+   fast. *)
 let prop_scale =
   match Option.bind (Sys.getenv_opt "PLANP_PROP_SCALE") int_of_string_opt with
   | Some n when n > 0 -> n
@@ -1477,10 +1478,21 @@ let codec_decoder_matches_reference =
 
 (* Feed random bytes to the front end: it must either parse or raise the
    documented Error exceptions — never crash, never loop. *)
+(* Random bytes, and runs of up to 40 digits (past [max_int] from 19 on)
+   in front of them or as a declaration's literal. *)
 let frontend_fuzz =
+  let open Q.Gen in
+  let junk = string_size ~gen:(char_range '\000' '\255') (int_range 0 80) in
+  let digits = string_size ~gen:numeral (int_range 1 40) in
   Q.Test.make ~name:"frontend: random input never crashes lexer/parser"
     ~count:1000
-    Q.(string_gen_of_size (Q.Gen.int_range 0 80) (Q.Gen.char_range '\000' '\255'))
+    (Q.make ~print:(Printf.sprintf "%S")
+       (frequency
+          [
+            (2, junk);
+            (1, map2 ( ^ ) digits junk);
+            (1, map (( ^ ) "val big : int = ") digits);
+          ]))
     (fun junk ->
       match Planp.Parser.parse junk with
       | _ -> true
@@ -1610,6 +1622,403 @@ let capsule_decoder_fuzz =
     ~count:3000 valid
     (fun input -> Option.is_some (C.decode (Netsim.Payload.of_string input)))
 
+let scenario_decoder_fuzz =
+  decoder_property
+    ~name:"decoders: Netsim.Faults.parse_scenario returns Ok or Error"
+    ~count:2000
+    [
+      "# the example of doc/FAULTS.md\n\
+       seed 42\n\
+       at 1.0 until 2.5 link down uplink\n\
+       at 0.5 until 9.0 link loss uplink 0.05\n\
+       at 0.5 until 9.0 segment corrupt lan 0.01\n\
+       at 3.0 until 6.0 congest backbone bandwidth 0.5 queue 0.5\n\
+       at 4.0 until 6.0 node crash router\n\
+       at 4.0 node crash-wipe router\n\
+       at 2.5 reroute\n";
+    ]
+    (fun input -> Result.is_ok (Netsim.Faults.parse_scenario input))
+
+let mpeg_setup_decoder_fuzz =
+  let module M = Asp.Mpeg_app in
+  decoder_property
+    ~name:"decoders: Asp.Mpeg_app.decode_setup returns Some or None"
+    ~count:1000
+    (List.map
+       (fun (file_id, total_frames) ->
+         Payload.to_string (M.encode_setup { M.file_id; total_frames }))
+       [ (0, 0); (7, 240); (0xFFFF_FFFF, 0x7FFF_FFFF) ])
+    (fun input -> Option.is_some (M.decode_setup (Payload.of_string input)))
+
+let image_decoder_fuzz =
+  let module Image = Planp_runtime.Image in
+  let image = Image.synth ~width:8 ~height:4 ~seed:3 in
+  decoder_property ~name:"decoders: Image.decode returns Some or None"
+    ~count:2000
+    (List.map
+       (fun n -> Payload.to_string (Image.encode (Image.distill_n image n)))
+       [ 0; 1; 2 ])
+    (fun input -> Option.is_some (Image.decode (Payload.of_string input)))
+
+(* ---------- operator text: one line format ---------- *)
+
+module Lf = Netsim.Line_format
+module Faults = Netsim.Faults
+module Policy = Adapt.Policy
+
+(* A value of each field kind, over the kind's whole range (from random
+   bits) and at its edges. *)
+let kind_value : type a. a Lf.kind -> a Q.Gen.t =
+ fun kind ->
+  let open Q.Gen in
+  let finite =
+    map
+      (fun bits ->
+        let v = Int64.float_of_bits bits in
+        if Float.is_finite v then v else 1.0)
+      ui64
+  in
+  let unit = float_bound_inclusive 1.0 in
+  let tiny = 5e-324 and below_one = Float.pred 1.0 in
+  match kind with
+  | Lf.Int -> frequency [ (3, int); (1, oneofl [ 0; max_int; min_int ]) ]
+  | Lf.Finite ->
+      frequency
+        [
+          (2, finite);
+          (2, float_range (-100.0) 100.0);
+          (1, oneofl [ 0.0; -0.0; Float.max_float; -.Float.max_float; tiny ]);
+        ]
+  | Lf.Duration ->
+      frequency
+        [
+          (2, map Float.abs finite);
+          (2, float_bound_inclusive 100.0);
+          (1, oneofl [ 0.0; Float.max_float; tiny ]);
+        ]
+  | Lf.Positive ->
+      frequency
+        [
+          (2, map (fun v -> if v = 0.0 then tiny else Float.abs v) finite);
+          (2, map (fun v -> v +. 0.25) (float_bound_inclusive 100.0));
+          (1, oneofl [ Float.max_float; tiny ]);
+        ]
+  | Lf.Probability ->
+      frequency [ (3, unit); (1, oneofl [ 0.0; 1.0; tiny; below_one ]) ]
+  | Lf.Factor ->
+      frequency
+        [
+          (3, map (fun v -> if v = 0.0 then 1.0 else v) unit);
+          (1, oneofl [ 1.0; tiny; below_one ]);
+        ]
+
+let number v = Printf.sprintf "%.17g" v
+
+(* The text of token lines: tokens joined by runs of spaces and tabs,
+   maybe indented, maybe ending in a comment, LF or CRLF, with blank
+   and comment-only lines between. *)
+let layout lines =
+  let open Q.Gen in
+  let run shortest =
+    string_size ~gen:(oneofl [ ' '; '\t' ]) (int_range shortest 3)
+  in
+  let eol = oneofl [ "\n"; "\r\n"; " # note\n"; "\t#x\r\n"; "#\n" ] in
+  let filler = oneofl [ ""; ""; ""; "\n"; "\r\n"; "# comment\n"; " \t\r\n" ] in
+  let line tokens =
+    let* first = run 0
+    and* seps = list_repeat (List.length tokens - 1) (run 1)
+    and* eol = eol
+    and* filler = filler in
+    let words = List.map2 ( ^ ) (first :: seps) tokens in
+    return (filler ^ String.concat "" words ^ eol)
+  in
+  map (String.concat "") (flatten_l (List.map line lines))
+
+(* One fault and its tokens after "at T [until T2]". *)
+let fault_gen =
+  let open Q.Gen in
+  let rate = kind_value Lf.Probability in
+  let factor = opt (kind_value Lf.Factor) in
+  let* name = oneofl [ "uplink"; "lan"; "r1"; "bandwidth"; "queue" ] in
+  let link = Some (Faults.Tlink name) in
+  let segment = Some (Faults.Tsegment name) in
+  let rated kind target words =
+    map (fun p -> (kind p, target, words @ [ name; number p ])) rate
+  in
+  let loss p = Faults.Loss p and corrupt p = Faults.Corrupt p in
+  oneof
+    [
+      return (Faults.Link_down, link, [ "link"; "down"; name ]);
+      rated loss link [ "link"; "loss" ];
+      rated corrupt link [ "link"; "corrupt" ];
+      rated loss segment [ "segment"; "loss" ];
+      rated corrupt segment [ "segment"; "corrupt" ];
+      (let* bandwidth = factor and* queue = factor and* queue_first = bool in
+       let option key = function Some v -> [ key; number v ] | None -> [] in
+       let bandwidth_factor = Option.value bandwidth ~default:1.0 in
+       let queue_factor = Option.value queue ~default:1.0 in
+       let options =
+         if queue_first then option "queue" queue @ option "bandwidth" bandwidth
+         else option "bandwidth" bandwidth @ option "queue" queue
+       in
+       return
+         ( Faults.Congest { bandwidth_factor; queue_factor },
+           link,
+           "congest" :: name :: options ));
+      return
+        ( Faults.Crash { wipe = false },
+          Some (Faults.Tnode name),
+          [ "node"; "crash"; name ] );
+      return
+        ( Faults.Crash { wipe = true },
+          Some (Faults.Tnode name),
+          [ "node"; "crash-wipe"; name ] );
+      return (Faults.Reroute, None, [ "reroute" ]);
+    ]
+
+(* A scenario and its text: events in order, an optional seed line
+   anywhere among them. *)
+let scenario_gen =
+  let open Q.Gen in
+  let event =
+    let* a = kind_value Lf.Finite
+    and* b = opt (kind_value Lf.Finite)
+    and* ft_kind, ft_target, fault = fault_gen in
+    let ft_at, ft_until, times =
+      match b with
+      | None -> (a, None, [ "at"; number a ])
+      | Some b ->
+          let at = Float.min a b and until = Float.max a b in
+          (at, Some until, [ "at"; number at; "until"; number until ])
+    in
+    return ({ Faults.ft_at; ft_until; ft_kind; ft_target }, times @ fault)
+  in
+  let* events = list_size (int_range 0 8) event
+  and* seed = opt (kind_value Lf.Int)
+  and* seed_line = nat in
+  let lines = List.map snd events in
+  let lines =
+    match seed with
+    | None -> lines
+    | Some n ->
+        let i = seed_line mod (List.length lines + 1) in
+        let seed = [ "seed"; string_of_int n ] in
+        List.filteri (fun j _ -> j < i) lines
+        @ (seed :: List.filteri (fun j _ -> j >= i) lines)
+  in
+  let+ text = layout lines in
+  (Faults.scenario_of_events ?seed (List.map fst events), text)
+
+let action_gen =
+  let open Q.Gen in
+  let escalate =
+    let word = oneofl [ "retry"; "storm"; "and"; "do" ] in
+    let* words = list_size (int_range 1 3) word and* quoted = bool in
+    let last = List.length words - 1 in
+    let quote i word =
+      if not quoted then word
+      else (if i = 0 then "\"" else "") ^ word ^ if i = last then "\"" else ""
+    in
+    return
+      ( Policy.Escalate { reason = String.concat " " words },
+        "escalate" :: List.mapi quote words )
+  in
+  oneof
+    [
+      map2
+        (fun program variant ->
+          (Policy.Swap { program; variant }, [ "swap"; program; variant ]))
+        (oneofl [ "audio-router"; "gw" ])
+        (oneofl [ "default"; "v2" ]);
+      map
+        (fun program -> (Policy.Undeploy { program }, [ "undeploy"; program ]))
+        (oneofl [ "mpeg-filter"; "gw" ]);
+      map2
+        (fun param value ->
+          (Policy.Retune { param; value }, [ "retune"; param; number value ]))
+        (oneofl [ "buffer"; "mono16_above" ])
+        (kind_value Lf.Finite);
+      escalate;
+    ]
+
+(* Rule [r<index>] and its tokens: one to three clauses, an optional
+   cooldown, every action form. *)
+let rule_gen index =
+  let open Q.Gen in
+  let name = Printf.sprintf "r%d" index in
+  let clause =
+    let* signal = oneofl [ "drop_rate"; "goodput"; "x" ]
+    and* cmp = oneofl Policy.[ Gt; Ge; Lt; Le ]
+    and* threshold = kind_value Lf.Finite in
+    return
+      ( Policy.Cmp { signal; cmp; threshold },
+        [ signal; Policy.cmp_to_string cmp; number threshold ] )
+  in
+  let* clauses = list_size (int_range 1 3) clause
+  and* hold = kind_value Lf.Duration
+  and* cooldown = opt (kind_value Lf.Duration)
+  and* rl_action, action = action_gen
+  and* colon = bool in
+  let rule =
+    {
+      Policy.rl_name = name;
+      rl_pred =
+        (match List.map fst clauses with [ p ] -> p | ps -> Policy.All ps);
+      rl_hold = hold;
+      rl_cooldown = Option.value cooldown ~default:0.0;
+      rl_action;
+    }
+  in
+  let condition =
+    List.concat
+      (List.mapi
+         (fun i (_, words) -> if i = 0 then words else "and" :: words)
+         clauses)
+  in
+  let cooldown =
+    match cooldown with Some c -> [ "cooldown"; number c ] | None -> []
+  in
+  return
+    ( rule,
+      [ "rule"; (if colon then name ^ ":" else name); "when" ]
+      @ condition
+      @ [ "for"; number hold ]
+      @ cooldown @ ("do" :: action) )
+
+let policy_gen =
+  let open Q.Gen in
+  let* period = opt (kind_value Lf.Positive)
+  and* alpha = opt (kind_value Lf.Factor)
+  and* rules = int_range 0 4 >>= fun n -> flatten_l (List.init n rule_gen)
+  and* guard =
+    opt
+      (triple
+         (oneofl [ "goodput"; "x" ])
+         (kind_value Lf.Positive) (kind_value Lf.Positive))
+  in
+  let setting key = function Some v -> [ [ key; number v ] ] | None -> [] in
+  let guard_line (signal, window, ratio) =
+    [ "guard"; signal; "window"; number window; "min-ratio"; number ratio ]
+  in
+  let+ text =
+    layout
+      (setting "period" period @ setting "alpha" alpha @ List.map snd rules
+      @ Option.to_list (Option.map guard_line guard))
+  in
+  ( {
+      Policy.period = Option.value period ~default:Policy.empty.Policy.period;
+      alpha = Option.value alpha ~default:Policy.empty.Policy.alpha;
+      rules = List.map fst rules;
+      guard =
+        Option.map
+          (fun (g_signal, g_window, g_min_ratio) ->
+            { Policy.g_signal; g_window; g_min_ratio })
+          guard;
+    },
+    text )
+
+let round_trip ~name gen parse =
+  Q.Test.make ~name ~count:(300 * prop_scale)
+    (Q.make ~print:(fun (_, text) -> Printf.sprintf "%S" text) gen)
+    (fun (value, text) -> parse text = Ok value)
+
+let scenario_round_trip =
+  round_trip ~name:"line format: generated scenarios parse back" scenario_gen
+    Faults.parse_scenario
+
+let policy_round_trip =
+  round_trip ~name:"line format: generated policies parse back" policy_gen
+    Policy.parse
+
+(* Text no field of [kind] may hold: NaN, ±inf, an overflowing literal,
+   non-numbers and values just outside the kind's range. *)
+let bad_text : type a. a Lf.kind -> string list =
+ fun kind ->
+  [ "nan"; "-nan"; "inf"; "-inf"; "infinity"; "1e400"; "-1e400" ]
+  @ [ "abc"; "0.5.1"; "x1" ]
+  @
+  match kind with
+  | Lf.Finite -> []
+  | Lf.Duration -> [ "-1"; "-1e-300"; "-4.9406564584124654e-324" ]
+  | Lf.Positive -> [ "0"; "-0"; "-3"; "-1e-300" ]
+  | Lf.Probability -> [ "-0.1"; "1.0000000000000002"; "2"; "-1e-300" ]
+  | Lf.Factor -> [ "0"; "-0"; "1.0000000000000002"; "2" ]
+  | Lf.Int -> [ "4611686018427387904"; "-4611686018427387905"; "1.5"; "1e3" ]
+
+(* A field in a line of either format: the format's error for a text,
+   the texts the field's kind refuses, the field's name and the line
+   around a value. *)
+type field_site = {
+  error : string -> string option;
+  bad : string list;
+  field : string;
+  line : string -> string;
+}
+
+let field_sites =
+  let error parse text =
+    match parse text with Ok _ -> None | Error message -> Some message
+  in
+  let scenario kind field line =
+    { error = error Faults.parse_scenario; bad = bad_text kind; field; line }
+  in
+  let policy kind field line =
+    { error = error Policy.parse; bad = bad_text kind; field; line }
+  in
+  [
+    scenario Lf.Int "seed" (Printf.sprintf "seed %s");
+    scenario Lf.Finite "at" (Printf.sprintf "at %s link down uplink");
+    scenario Lf.Finite "until" (Printf.sprintf "at 1.0 until %s reroute");
+    scenario Lf.Probability "link loss" (Printf.sprintf "at 1 link loss up %s");
+    scenario Lf.Probability "link corrupt"
+      (Printf.sprintf "at 1 link corrupt up %s");
+    scenario Lf.Probability "segment loss"
+      (Printf.sprintf "at 1 segment loss lan %s");
+    scenario Lf.Probability "segment corrupt"
+      (Printf.sprintf "at 1 segment corrupt lan %s");
+    scenario Lf.Factor "bandwidth"
+      (Printf.sprintf "at 1 until 2 congest x bandwidth %s");
+    scenario Lf.Factor "queue"
+      (Printf.sprintf "at 1 congest x bandwidth 0.5 queue %s");
+    policy Lf.Positive "period" (Printf.sprintf "period %s");
+    policy Lf.Factor "alpha" (Printf.sprintf "alpha %s");
+    policy Lf.Finite "rule r y"
+      (Printf.sprintf "rule r: when x > 1 and y <= %s for 0 do escalate a");
+    policy Lf.Duration "rule r hold"
+      (Printf.sprintf "rule r: when x > 1 for %s do swap a b");
+    policy Lf.Duration "rule r cooldown"
+      (Printf.sprintf "rule r when x < 1 for 2 cooldown %s do undeploy a");
+    policy Lf.Finite "rule r retune"
+      (Printf.sprintf "rule r: when x > 1 for 0 do retune buffer %s");
+    policy Lf.Positive "guard window"
+      (Printf.sprintf "guard g window %s min-ratio 0.5");
+    policy Lf.Positive "guard min-ratio"
+      (Printf.sprintf "guard g window 4 min-ratio %s");
+  ]
+
+(* After 0-3 comment or blank lines, a bad field reads as
+   "line N: <field>: ..." in either format. *)
+let bad_fields_name_line_and_field =
+  let open Q.Gen in
+  let case =
+    let* site = oneofl field_sites in
+    let* bad = oneofl site.bad
+    and* filler =
+      list_size (int_range 0 3) (oneofl [ "# fine\n"; "\r\n"; "\t\n" ])
+    in
+    let text = String.concat "" filler ^ site.line bad ^ "\n" in
+    return (site, List.length filler, text)
+  in
+  Q.Test.make ~name:"line format: bad numbers name their line and field"
+    ~count:(200 * prop_scale)
+    (Q.make ~print:(fun (_, _, text) -> Printf.sprintf "%S" text) case)
+    (fun (site, filler, text) ->
+      let prefix = Printf.sprintf "line %d: %s: " (filler + 1) site.field in
+      match site.error text with
+      | Some message when String.starts_with ~prefix message -> true
+      | Some message -> Q.Test.fail_reportf "wrong error %S" message
+      | None -> Q.Test.fail_reportf "parsed")
+
 let flowstat_rate_nonnegative =
   Q.Test.make ~name:"flowstat: rate is nonnegative and bounded by input"
     ~count:200
@@ -1650,6 +2059,12 @@ let () =
         json_decoder_fuzz;
         policy_decoder_fuzz;
         capsule_decoder_fuzz;
+        scenario_decoder_fuzz;
+        mpeg_setup_decoder_fuzz;
+        image_decoder_fuzz;
+        scenario_round_trip;
+        policy_round_trip;
+        bad_fields_name_line_and_field;
         flowstat_rate_nonnegative;
       ])
   in
